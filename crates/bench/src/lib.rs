@@ -78,7 +78,6 @@ pub const HARNESSES: &[&str] = &[
     "sweep_variants",
     "sorted_flush_ablation",
     "skew_ablation",
-    "parallel_scaling",
     "pd_clustered_road_rail",
     "pd_sequoia_indices",
 ];

@@ -300,7 +300,6 @@ pub fn run_soak(config: &SoakConfig) -> SoakOutcome {
     timeseries::configure(SamplerConfig {
         every_ticks: config.sample_every,
         ring_capacity: config.ring,
-        ..SamplerConfig::default()
     });
     if config.force_leak {
         pbsm_join::telemetry::set_force_temp_leak(true);
@@ -487,7 +486,6 @@ fn gated_json(
     let sampler = SamplerConfig {
         every_ticks: config.sample_every,
         ring_capacity: config.ring,
-        ..SamplerConfig::default()
     };
     let latency = Json::Obj(
         QueryClass::ALL
@@ -515,7 +513,7 @@ fn gated_json(
     let counters = Json::Obj(
         pbsm_obs::counters()
             .into_iter()
-            .filter(|(n, v)| *v > 0 && !n.starts_with("storage.disk.file."))
+            .filter(|(_, v)| *v > 0)
             .map(|(n, v)| (n, Json::uint(v)))
             .collect(),
     );

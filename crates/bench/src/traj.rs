@@ -38,12 +38,6 @@ use pbsm_obs::Json;
 /// Schema tag written into (and required of) every trajectory record.
 pub const SCHEMA: &str = "pbsm-bench-trajectory-v1";
 
-/// Counter prefixes excluded from the trajectory: per-file counters name
-/// transient file ids, so they churn with any change to file-allocation
-/// order and would make every diff noisy without carrying signal beyond
-/// the aggregate `storage.disk.*` totals.
-const EXCLUDED_COUNTER_PREFIXES: &[&str] = &["storage.disk.file."];
-
 /// An approximate quantile over sparse power-of-two histogram entries
 /// (`[bucket_upper_bound, count]` pairs, ascending): the upper bound of
 /// the bucket where the cumulative count first reaches `q` of the total.
@@ -74,11 +68,7 @@ pub fn bench_entry(doc: &Json) -> Option<Json> {
     let name = doc.get("name")?.as_str()?.to_string();
     let session = doc.get("session")?;
     let counters: Vec<(String, Json)> = match session.get("counters") {
-        Some(Json::Obj(fields)) => fields
-            .iter()
-            .filter(|(k, _)| !EXCLUDED_COUNTER_PREFIXES.iter().any(|p| k.starts_with(p)))
-            .cloned()
-            .collect(),
+        Some(Json::Obj(fields)) => fields.clone(),
         _ => Vec::new(),
     };
     let hists: Vec<(String, Json)> = match session.get("histograms") {
@@ -196,8 +186,7 @@ mod tests {
             r#"{"name":"fig_x","config":{},"wall_s":1.5,
                 "metrics":{"result_pairs":42},"timings":{"t":0.1},
                 "session":{
-                  "counters":{"storage.disk.reads":7,
-                              "storage.disk.file.3.reads":5},
+                  "counters":{"storage.disk.reads":7},
                   "gauges":{},
                   "histograms":{"h":[[1,90],[7,10]]},
                   "spans":[]}}"#,
@@ -211,8 +200,6 @@ mod tests {
             counters.get("storage.disk.reads").unwrap().as_u64(),
             Some(7)
         );
-        // Per-file counters are excluded from the trajectory.
-        assert!(counters.get("storage.disk.file.3.reads").is_none());
         let h = e.get("histograms").unwrap().get("h").unwrap();
         assert_eq!(h.get("count").unwrap().as_u64(), Some(100));
         assert_eq!(h.get("p50").unwrap().as_u64(), Some(1));

@@ -20,11 +20,9 @@ use crate::{skew, JoinConfig};
 use pbsm_geom::sweep::{sort_by_xl, sweep_join, SweepStats, Tagged};
 use pbsm_storage::catalog::RelationMeta;
 use pbsm_storage::heap::HeapFile;
-use pbsm_storage::journal::{JournalRecord, PairCkpt};
 use pbsm_storage::record::RecordFile;
 use pbsm_storage::tuple::SpatialTuple;
-use pbsm_storage::{Db, StorageError, StorageResult};
-use std::collections::BTreeMap;
+use pbsm_storage::{Db, Oid, StorageResult};
 
 /// Result of partitioning one input.
 pub struct Partitioned {
@@ -157,14 +155,12 @@ pub fn load_partition(db: &Db, file: &RecordFile) -> StorageResult<Vec<KeyPointe
 /// pairs to `out`. This is the paper's "computational geometry based
 /// plane-sweeping technique … the spatial equivalent of sort–merge".
 ///
-/// Returns the sweep's work tallies rather than reporting them itself:
-/// the parallel merge calls this from worker threads, whose thread-local
-/// metric state would be lost, so the caller flushes the tallies on the
-/// main thread.
+/// Returns the sweep's work tallies rather than reporting them itself, so
+/// the pair loop can publish one total per merge.
 pub fn sweep_partition_pair(
     r: &[KeyPointer],
     s: &[KeyPointer],
-    out: &mut Vec<(pbsm_storage::Oid, pbsm_storage::Oid)>,
+    out: &mut Vec<(Oid, Oid)>,
 ) -> SweepStats {
     let mut tr: Vec<Tagged> = r
         .iter()
@@ -183,29 +179,34 @@ pub fn sweep_partition_pair(
     })
 }
 
-/// Flushes accumulated sweep tallies into the metrics registry (main
-/// thread only).
-pub(crate) fn report_sweep_stats(stats: SweepStats) {
-    pbsm_obs::cached_counter!("pbsm.merge.sweep_comparisons").add(stats.comparisons);
-    pbsm_obs::cached_counter!("pbsm.merge.candidates").add(stats.hits);
-}
-
 /// Merges every partition pair, writing candidate OID pairs to a new
-/// record file. Honors the configuration's skew-repartitioning and
-/// parallel-merge extensions.
+/// record file. Honors the configuration's skew-repartitioning extension.
 pub fn merge_partitions(
     db: &Db,
     r_parts: &Partitioned,
     s_parts: &Partitioned,
     config: &JoinConfig,
 ) -> StorageResult<(RecordFile, u64)> {
-    debug_assert_eq!(r_parts.files.len(), s_parts.files.len());
-    if config.merge_threads > 1 {
-        return crate::parallel::merge_partitions_parallel(db, r_parts, s_parts, config);
-    }
     let out = RecordFile::create(db.pool(), OID_PAIR_SIZE)?;
-    match merge_into(db, r_parts, s_parts, config, &out) {
-        Ok(candidates) => Ok((out, candidates)),
+    let mut writer = out.writer(db.pool());
+    let merged = merge_pairs(
+        db,
+        r_parts,
+        s_parts,
+        config,
+        |_| false,
+        |_, pairs| {
+            pairs
+                .iter()
+                .try_for_each(|(ro, so)| writer.push(&encode_pair(*ro, *so)))
+        },
+    )
+    .and_then(|()| writer.finish());
+    match merged {
+        Ok(()) => {
+            let candidates = out.count();
+            Ok((out, candidates))
+        }
         Err(e) => {
             out.destroy(db.pool());
             Err(e)
@@ -213,180 +214,52 @@ pub fn merge_partitions(
     }
 }
 
-fn merge_into(
+/// The pair loop: merges each partition pair `skip` does not claim and
+/// hands its candidates to `emit`, in pair order.
+pub(crate) fn merge_pairs(
     db: &Db,
     r_parts: &Partitioned,
     s_parts: &Partitioned,
     config: &JoinConfig,
-    out: &RecordFile,
-) -> StorageResult<u64> {
-    let mut writer = out.writer(db.pool());
-    let mut candidates = 0u64;
-    let mut stats = SweepStats::default();
-    let mut pairs = Vec::new();
-    for (rf, sf) in r_parts.files.iter().zip(&s_parts.files) {
-        let r = load_partition(db, rf)?;
-        let s = load_partition(db, sf)?;
-        pairs.clear();
-        let pair_bytes = (r.len() + s.len()) * KEY_PTR_SIZE;
-        if config.dynamic_repartition && pair_bytes > config.work_mem_bytes {
-            stats.absorb(skew::merge_with_repartition(
-                &r,
-                &s,
-                config.work_mem_bytes,
-                &mut pairs,
-            ));
-        } else {
-            stats.absorb(sweep_partition_pair(&r, &s, &mut pairs));
-        }
-        candidates += pairs.len() as u64;
-        for (ro, so) in &pairs {
-            writer.push(&encode_pair(*ro, *so))?;
-        }
-    }
-    writer.finish()?;
-    report_sweep_stats(stats);
-    Ok(candidates)
-}
-
-/// Result of the per-pair checkpointed merge used by journaled joins:
-/// one candidate file per partition pair, in pair order.
-pub struct PairMerge {
-    /// Candidate OID-pair files, one per partition pair.
-    pub files: Vec<RecordFile>,
-    /// Raw candidates across all pairs (with replication duplicates).
-    pub candidates: u64,
-    /// Pairs whose candidate file was reused from a crash checkpoint.
-    pub resumed_pairs: u64,
-}
-
-impl PairMerge {
-    /// Drops every pair file. Under a poisoned (crashed) disk the drops
-    /// no-op, which is exactly what keeps checkpoints alive for recovery.
-    pub fn destroy(self, db: &Db) {
-        for f in self.files {
-            f.destroy(db.pool());
-        }
-    }
-}
-
-/// Checkpointed variant of [`merge_partitions`] for journaled joins: each
-/// partition pair's candidates land in their *own* file, flushed and
-/// journaled as a `PairDone` checkpoint the moment the pair completes.
-/// Pairs present in `resume` are not re-swept — their durable candidate
-/// file from the crashed incarnation is reused as-is.
-///
-/// Always sequential (checkpoint order must match journal order), so
-/// `config.merge_threads` is ignored here.
-pub fn merge_partitions_ckpt(
-    db: &Db,
-    r_parts: &Partitioned,
-    s_parts: &Partitioned,
-    config: &JoinConfig,
-    join_id: u64,
-    resume: &BTreeMap<u32, PairCkpt>,
-) -> StorageResult<PairMerge> {
-    debug_assert_eq!(r_parts.files.len(), s_parts.files.len());
-    let mut out = PairMerge {
-        files: Vec::new(),
-        candidates: 0,
-        resumed_pairs: 0,
-    };
-    match merge_pairs_into(db, r_parts, s_parts, config, join_id, resume, &mut out) {
-        Ok(()) => Ok(out),
-        Err(e) => {
-            out.destroy(db);
-            Err(e)
-        }
-    }
-}
-
-fn merge_pairs_into(
-    db: &Db,
-    r_parts: &Partitioned,
-    s_parts: &Partitioned,
-    config: &JoinConfig,
-    join_id: u64,
-    resume: &BTreeMap<u32, PairCkpt>,
-    out: &mut PairMerge,
+    skip: impl Fn(u32) -> bool,
+    mut emit: impl FnMut(u32, &[(Oid, Oid)]) -> StorageResult<()>,
 ) -> StorageResult<()> {
+    debug_assert_eq!(r_parts.files.len(), s_parts.files.len());
     let mut stats = SweepStats::default();
     let mut pairs = Vec::new();
     for (i, (rf, sf)) in r_parts.files.iter().zip(&s_parts.files).enumerate() {
-        if let Some(ckpt) = resume.get(&(i as u32)) {
-            out.files
-                .push(RecordFile::open(ckpt.file, OID_PAIR_SIZE, ckpt.count));
-            out.candidates += ckpt.count;
-            out.resumed_pairs += 1;
-            pbsm_obs::cached_counter!("pbsm.resume.pairs_skipped").incr();
+        let i = i as u32;
+        if skip(i) {
             continue;
         }
-        // pbsm-lint: allow(resource-pairing, reason = "pair files outlive this fn as join checkpoints; merge_partitions_ckpt destroys them on error and the join driver destroys them at JoinEnd")
-        let created = RecordFile::create(db.pool(), OID_PAIR_SIZE)?;
-        out.files.push(created);
-        let pair_file = out
-            .files
-            .last()
-            .ok_or(StorageError::Corrupt("pair file list emptied mid-merge"))?;
-        let r = load_partition(db, rf)?;
-        let s = load_partition(db, sf)?;
         pairs.clear();
-        let pair_bytes = (r.len() + s.len()) * KEY_PTR_SIZE;
-        if config.dynamic_repartition && pair_bytes > config.work_mem_bytes {
-            stats.absorb(skew::merge_with_repartition(
-                &r,
-                &s,
-                config.work_mem_bytes,
-                &mut pairs,
-            ));
-        } else {
-            stats.absorb(sweep_partition_pair(&r, &s, &mut pairs));
-        }
-        {
-            let mut writer = pair_file.writer(db.pool());
-            for (ro, so) in &pairs {
-                writer.push(&encode_pair(*ro, *so))?;
-            }
-            writer.finish()?;
-        }
-        out.candidates += pairs.len() as u64;
-        // Durability before checkpoint: the journal record must never
-        // claim candidates the disk does not hold.
-        db.pool().flush_file(pair_file.file_id())?;
-        db.pool().journal_append(JournalRecord::PairDone {
-            join_id,
-            pair_index: i as u32,
-            file: pair_file.file_id(),
-            count: pair_file.count(),
-        })?;
+        stats.absorb(merge_pair(db, rf, sf, config, &mut pairs)?);
+        emit(i, &pairs)?;
     }
-    report_sweep_stats(stats);
+    pbsm_obs::cached_counter!("pbsm.merge.sweep_comparisons").add(stats.comparisons);
+    pbsm_obs::cached_counter!("pbsm.merge.candidates").add(stats.hits);
     Ok(())
 }
 
-/// Concatenates per-pair candidate files into one relation, in pair order
-/// — byte-identical to what the sequential single-file merge writes, so a
-/// resumed join's refinement sees the exact byte stream the crashed
-/// incarnation's would have.
-pub fn concat_candidates(db: &Db, files: &[RecordFile]) -> StorageResult<RecordFile> {
-    let out = RecordFile::create(db.pool(), OID_PAIR_SIZE)?;
-    let result = (|| -> StorageResult<()> {
-        let mut w = out.writer(db.pool());
-        for f in files {
-            let mut r = f.reader(db.pool());
-            while let Some(rec) = r.next_record()? {
-                w.push(rec)?;
-            }
-        }
-        w.finish()
-    })();
-    match result {
-        Ok(()) => Ok(out),
-        Err(e) => {
-            out.destroy(db.pool());
-            Err(e)
-        }
-    }
+/// Loads one partition pair and joins it: the plane sweep, or the §3.5
+/// dynamic repartitioning when enabled and the pair overflows work memory.
+fn merge_pair(
+    db: &Db,
+    rf: &RecordFile,
+    sf: &RecordFile,
+    config: &JoinConfig,
+    out: &mut Vec<(Oid, Oid)>,
+) -> StorageResult<SweepStats> {
+    let r = load_partition(db, rf)?;
+    let s = load_partition(db, sf)?;
+    let pair_bytes = (r.len() + s.len()) * KEY_PTR_SIZE;
+    Ok(
+        if config.dynamic_repartition && pair_bytes > config.work_mem_bytes {
+            skew::merge_with_repartition(&r, &s, config.work_mem_bytes, out)
+        } else {
+            sweep_partition_pair(&r, &s, out)
+        },
+    )
 }
 
 #[cfg(test)]

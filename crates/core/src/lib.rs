@@ -31,8 +31,6 @@
 //!   step with halved work memory / more partitions instead of aborting.
 //! * [`skew`] — §3.5's dynamic repartitioning (described as future work in
 //!   the paper; implemented here as an extension).
-//! * [`parallel`] — §5's parallel partition merge (future work in the
-//!   paper; implemented as an extension).
 //! * [`shard`] — the scale-out extension: K independent journaled engines
 //!   behind a duplicate-free scatter-gather coordinator whose per-shard
 //!   fault domains survive any single-shard crash mid-query.
@@ -42,7 +40,6 @@ pub mod filter;
 pub mod inl;
 pub mod keyptr;
 pub mod loader;
-pub mod parallel;
 pub mod partition;
 pub mod pbsm;
 pub mod profile;
@@ -110,9 +107,6 @@ pub struct JoinConfig {
     /// exceed work memory. Off by default ("the current implementation of
     /// PBSM does not incorporate any of these techniques").
     pub dynamic_repartition: bool,
-    /// §5 extension: number of threads merging partition pairs. 1 = the
-    /// paper's sequential behaviour.
-    pub merge_threads: usize,
     /// Bounded ENOSPC degradation: how many times PBSM may re-run the
     /// filter step with halved work memory / doubled partitions before
     /// surfacing `DiskFull`.
@@ -127,7 +121,6 @@ impl Default for JoinConfig {
             tile_map: TileMapScheme::Hash,
             refine: RefineOptions::default(),
             dynamic_repartition: false,
-            merge_threads: 1,
             recovery: RecoveryPolicy::default(),
         }
     }

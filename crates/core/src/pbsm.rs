@@ -4,17 +4,18 @@
 //! <left>", "Partition <right>", "Merge Partitions", "Refinement Step".
 
 use crate::cost::CostTracker;
-use crate::filter::{concat_candidates, merge_partitions, merge_partitions_ckpt, partition_input};
-use crate::keyptr::{KEY_PTR_SIZE, OID_PAIR_SIZE};
+use crate::filter::{merge_pairs, merge_partitions, partition_input, Partitioned};
+use crate::keyptr::{encode_pair, KEY_PTR_SIZE, OID_PAIR_SIZE};
 use crate::partition::{partition_count, TileGrid};
 use crate::recover::{degraded_work_mem, join_fingerprint};
-use crate::refine::{refinement_step, refinement_step_ckpt};
+use crate::refine::refine_candidates;
 use crate::{JoinConfig, JoinOutcome, JoinSpec, JoinStats};
 use pbsm_storage::catalog::RelationMeta;
-use pbsm_storage::journal::{JoinResume, JournalRecord, PairCkpt, RunCkpt};
+use pbsm_storage::extsort::SortCheckpoint;
+use pbsm_storage::journal::{JoinResume, JournalRecord};
 use pbsm_storage::record::RecordFile;
-use pbsm_storage::{Db, Snapshot, StorageResult};
-use std::collections::BTreeMap;
+use pbsm_storage::{Db, Snapshot, StorageError, StorageResult};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Runs the Partition Based Spatial-Merge join.
 ///
@@ -73,7 +74,7 @@ pub fn pbsm_join_resume(
     let max_attempts = config.recovery.max_attempts.max(1);
     let mut work_mem = config.work_mem_bytes;
     let mut min_partitions = 1usize;
-    let mut attempt = 1u32;
+    let mut attempt_no = 1u32;
     let mut resume = resume;
     loop {
         // Equation 1 sizes the partition set from catalog cardinalities;
@@ -81,36 +82,9 @@ pub fn pbsm_join_resume(
         // failed attempt used.
         let p = partition_count(left.cardinality, right.cardinality, KEY_PTR_SIZE, work_mem)
             .max(min_partitions);
-        let outcome = if db.pool().journal_enabled() {
-            let fp = join_fingerprint(
-                &left.name,
-                &right.name,
-                left.cardinality,
-                right.cardinality,
-                spec.predicate,
-                p,
-                work_mem,
-                config.num_tiles,
-            );
-            // Checkpoints are trusted only by the very first attempt, and
-            // only when the restarted plan matches the journaled one — a
-            // degraded re-run has a different fingerprint by construction
-            // (work memory and partition count both feed it).
-            let accepted = match resume.take() {
-                Some(r) if attempt == 1 && r.fingerprint == fp && r.partitions == p as u32 => {
-                    Some(r)
-                }
-                other => {
-                    discard_resume(db, other);
-                    None
-                }
-            };
-            pbsm_attempt_journaled(db, spec, config, &left, &right, work_mem, p, fp, accepted)
-        } else {
-            pbsm_attempt(db, spec, config, &left, &right, work_mem, p)
-        };
+        let outcome = attempt(db, spec, config, &left, &right, work_mem, p, resume.take());
         match outcome {
-            Err(e) if e.is_disk_full() && attempt < max_attempts => {
+            Err(e) if e.is_disk_full() && attempt_no < max_attempts => {
                 pbsm_obs::cached_counter!("pbsm.recover.enospc_retries").incr();
                 pbsm_obs::flight::record(
                     pbsm_obs::flight::EventKind::Degrade,
@@ -120,7 +94,7 @@ pub fn pbsm_join_resume(
                 );
                 min_partitions = (p * 2).max(2);
                 work_mem = degraded_work_mem(work_mem);
-                attempt += 1;
+                attempt_no += 1;
             }
             Err(e) => {
                 if e.is_disk_full() {
@@ -129,7 +103,7 @@ pub fn pbsm_join_resume(
                 return Err(e);
             }
             Ok(mut out) => {
-                out.stats.recovery_retries = (attempt - 1) as u64;
+                out.stats.recovery_retries = (attempt_no - 1) as u64;
                 // The budget the successful attempt really ran under —
                 // after degradation this is smaller than configured.
                 out.stats.peak_work_mem_pages = (work_mem / pbsm_storage::PAGE_SIZE).max(1) as u64;
@@ -156,22 +130,167 @@ pub fn pbsm_join_resume(
     }
 }
 
-/// Destroys the files behind rejected checkpoints. Each destroy journals a
-/// `TempDropped`, so the journal itself records the invalidation.
-fn discard_resume(db: &Db, resume: Option<&JoinResume>) {
-    let Some(r) = resume else { return };
-    for pc in &r.pairs {
-        RecordFile::open(pc.file, OID_PAIR_SIZE, pc.count).destroy(db.pool());
+/// Every temp file one attempt creates or inherits. [`attempt`] destroys
+/// them explicitly — the partition files as soon as the merge has read
+/// them, everything else on its way out whatever the outcome — never in
+/// `Drop`, where swallowed errors can hide a crash (DESIGN.md §15).
+#[derive(Default)]
+struct Ledger {
+    /// Both inputs' partition files, until the merge has read them.
+    partitions: Vec<Partitioned>,
+    /// Candidate files by pair index, in pair order: one file for an
+    /// unjournaled merge, one per pair when journaled (resumed pairs'
+    /// files inherited from crash checkpoints).
+    candidates: BTreeMap<u32, RecordFile>,
+    /// Resumed sort-run checkpoints, until the refinement sort takes them
+    /// over (it destroys them itself on every path).
+    runs: Vec<RecordFile>,
+}
+
+impl Ledger {
+    fn destroy_partitions(&mut self, db: &Db) {
+        for parts in self.partitions.drain(..) {
+            parts.destroy(db);
+        }
     }
-    for rc in &r.runs {
-        RecordFile::open(rc.file, OID_PAIR_SIZE, rc.count).destroy(db.pool());
+
+    fn destroy(mut self, db: &Db) {
+        self.destroy_partitions(db);
+        for f in self.candidates.into_values().chain(self.runs) {
+            f.destroy(db.pool());
+        }
     }
 }
 
-/// One full filter + refinement pass. Every temp file created before an
-/// error is destroyed on the way out, so a degraded re-run (and the hard
-/// capacity budget) starts from a clean disk.
-fn pbsm_attempt(
+/// Everything journal-specific about one attempt on a journaled `Db`: the
+/// `JoinBegin`/`JoinEnd` bracket, the accepted checkpoints, and a flushed
+/// checkpoint per completed pair sweep and refinement sort run.
+struct Checkpoints {
+    join_id: u64,
+    /// Pairs whose candidate files were recovered from checkpoints.
+    resumed: BTreeSet<u32>,
+}
+
+impl Checkpoints {
+    /// Journals `JoinBegin` for the plan fingerprinted `join_id`. A
+    /// `resume` whose fingerprint and partition count match the plan is
+    /// accepted: its files join `ledger`, and its checkpoints are
+    /// re-journaled under the fresh `JoinBegin` *before* any expensive
+    /// work, so a second crash mid-partitioning still finds them. Files
+    /// of a rejected resume are destroyed; each destroy journals a
+    /// `TempDropped`, so the journal itself records the invalidation.
+    fn begin(
+        db: &Db,
+        join_id: u64,
+        p: usize,
+        resume: Option<&JoinResume>,
+        ledger: &mut Ledger,
+    ) -> StorageResult<Self> {
+        let accepted = resume.filter(|r| r.fingerprint == join_id && r.partitions == p as u32);
+        // Run checkpoints are sound only when *every* pair was
+        // checkpointed: the refinement sort reads all pair files in index
+        // order as one stream, so one re-swept pair would shift that
+        // stream under the resumed runs' skip offsets.
+        let runs_usable = accepted.is_some_and(|r| r.pairs.len() == p);
+        if let Some(r) = resume {
+            for pc in &r.pairs {
+                let f = RecordFile::open(pc.file, OID_PAIR_SIZE, pc.count);
+                if accepted.is_some() {
+                    ledger.candidates.insert(pc.index, f);
+                } else {
+                    f.destroy(db.pool());
+                }
+            }
+            for rc in &r.runs {
+                let f = RecordFile::open(rc.file, OID_PAIR_SIZE, rc.count);
+                if runs_usable {
+                    ledger.runs.push(f);
+                } else {
+                    f.destroy(db.pool());
+                }
+            }
+        }
+        db.pool().journal_append(JournalRecord::JoinBegin {
+            join_id,
+            fingerprint: join_id,
+            partitions: p as u32,
+        })?;
+        if let Some(r) = accepted {
+            pbsm_obs::cached_counter!("pbsm.resume.joins").incr();
+            for pc in &r.pairs {
+                db.pool().journal_append(JournalRecord::PairDone {
+                    join_id,
+                    pair_index: pc.index,
+                    file: pc.file,
+                    count: pc.count,
+                })?;
+            }
+            for rc in r.runs.iter().filter(|_| runs_usable) {
+                db.pool().journal_append(JournalRecord::RunDone {
+                    join_id,
+                    run_index: rc.index,
+                    file: rc.file,
+                    count: rc.count,
+                })?;
+            }
+        }
+        Ok(Checkpoints {
+            join_id,
+            resumed: ledger.candidates.keys().copied().collect(),
+        })
+    }
+
+    /// Should the pair loop skip pair `i`? True when it was resumed.
+    fn skip_pair(&self, i: u32) -> bool {
+        let resumed = self.resumed.contains(&i);
+        if resumed {
+            pbsm_obs::cached_counter!("pbsm.resume.pairs_skipped").incr();
+        }
+        resumed
+    }
+
+    /// Checkpoints pair `i`'s finished candidate file. Durability comes
+    /// first: the journal record must never claim candidates the disk
+    /// does not hold.
+    fn pair_done(&self, db: &Db, i: u32, file: &RecordFile) -> StorageResult<()> {
+        db.pool().flush_file(file.file_id())?;
+        db.pool().journal_append(JournalRecord::PairDone {
+            join_id: self.join_id,
+            pair_index: i,
+            file: file.file_id(),
+            count: file.count(),
+        })
+    }
+
+    /// Checkpoints a refinement sort run (the sort flushed it already).
+    fn run_done(&self, db: &Db, index: u32, run: &RecordFile) -> StorageResult<()> {
+        db.pool().journal_append(JournalRecord::RunDone {
+            join_id: self.join_id,
+            run_index: index,
+            file: run.file_id(),
+            count: run.count(),
+        })
+    }
+
+    /// Retires every checkpoint of the attempt.
+    fn end(self, db: &Db) -> StorageResult<()> {
+        db.pool().journal_append(JournalRecord::JoinEnd {
+            join_id: self.join_id,
+        })
+    }
+}
+
+/// One full filter + refinement pass with `p` partitions under `work_mem`.
+///
+/// On a journaled `Db` the pass runs under a [`Checkpoints`] sink: resumed
+/// pairs are skipped, and each pair's candidates go to their own flushed,
+/// checkpointed file, which the refinement sort reads in pair order.
+/// Unjournaled, all candidates go to one file. Every temp file the pass
+/// creates or inherits is held in one [`Ledger`] and destroyed right here
+/// on every path, so a degraded re-run (and the hard capacity budget)
+/// starts from a clean disk.
+#[allow(clippy::too_many_arguments)]
+fn attempt(
     db: &Db,
     spec: &JoinSpec,
     config: &JoinConfig,
@@ -179,261 +298,142 @@ fn pbsm_attempt(
     right: &RelationMeta,
     work_mem: usize,
     p: usize,
+    resume: Option<&JoinResume>,
 ) -> StorageResult<JoinOutcome> {
-    let mut tracker = CostTracker::new();
-    let mut stats = JoinStats::default();
     // Degraded attempts run the whole pipeline (including the merge's
     // dynamic-repartition threshold) under the reduced work memory.
     let config = &JoinConfig {
         work_mem_bytes: work_mem,
         ..config.clone()
     };
-
-    // The grid uses at least the configured tile count ("NT is greater
-    // than or equal to P").
-    let universe = left.universe.union(&right.universe);
-    let grid = TileGrid::new(universe, config.num_tiles.max(p));
-    stats.partitions = p;
-    stats.tiles = grid.num_tiles() as usize;
-
-    // Filter step, phase 1: partition both inputs.
-    let left_parts = tracker.run(&format!("partition {}", left.name), || {
-        partition_input(db, left, &grid, config.tile_map, p)
-    })?;
-    let right_parts = match tracker.run(&format!("partition {}", right.name), || {
-        partition_input(db, right, &grid, config.tile_map, p)
-    }) {
-        Ok(parts) => parts,
-        Err(e) => {
-            left_parts.destroy(db);
-            return Err(e);
-        }
-    };
-    stats.input_elements = left_parts.input_elements + right_parts.input_elements;
-    stats.replicated_elements = left_parts.replicated_elements + right_parts.replicated_elements;
-
-    // Filter step, phase 2: plane-sweep merge of each partition pair.
-    let merged = tracker.run("merge partitions", || {
-        merge_partitions(db, &left_parts, &right_parts, config)
-    });
-    left_parts.destroy(db);
-    right_parts.destroy(db);
-    let (candidates, raw_candidates) = merged?;
-    stats.candidates = raw_candidates;
-
-    // Refinement step.
-    let refined = match tracker.run("refinement step", || {
-        refinement_step(
-            db,
-            &candidates,
-            left,
-            right,
+    let join_id = db.pool().journal_enabled().then(|| {
+        join_fingerprint(
+            &left.name,
+            &right.name,
+            left.cardinality,
+            right.cardinality,
             spec.predicate,
-            &config.refine,
+            p,
             work_mem,
+            config.num_tiles,
         )
-    }) {
-        Ok(refined) => refined,
-        Err(e) => {
-            candidates.destroy(db.pool());
-            return Err(e);
-        }
-    };
-    if crate::telemetry::force_temp_leak() {
-        // Test hook: leak the candidate file so the leak sentinel has a
-        // genuine monotonic drift to detect.
-    } else {
-        candidates.destroy(db.pool());
-    }
-    stats.unique_candidates = refined.unique_candidates;
-    stats.results = refined.pairs.len() as u64;
+    });
+    let mut ledger = Ledger::default();
+    let run = |ledger: &mut Ledger| -> StorageResult<(JoinOutcome, Option<Checkpoints>)> {
+        let mut tracker = CostTracker::new();
+        let mut stats = JoinStats::default();
+        let sink = match join_id {
+            Some(id) => Some(Checkpoints::begin(db, id, p, resume, ledger)?),
+            None => None,
+        };
 
-    Ok(JoinOutcome {
-        pairs: refined.pairs,
-        report: tracker.finish(),
-        stats,
-        profile: None,
-    })
-}
+        // The grid uses at least the configured tile count ("NT is
+        // greater than or equal to P").
+        let universe = left.universe.union(&right.universe);
+        let grid = TileGrid::new(universe, config.num_tiles.max(p));
+        stats.partitions = p;
+        stats.tiles = grid.num_tiles() as usize;
 
-/// One journaled filter + refinement pass. Structure mirrors
-/// [`pbsm_attempt`], with three differences: the attempt brackets its work
-/// in `JoinBegin`/`JoinEnd` records, each partition pair's candidates go to
-/// their own flushed + checkpointed file (merged into one stream only for
-/// the refinement sort, byte-identical to the sequential merge output), and
-/// refinement sort runs are checkpointed as they complete. `accepted`
-/// checkpoints (already validated against this attempt's fingerprint) are
-/// re-journaled under the fresh `JoinBegin` *before* any expensive work, so
-/// a second crash mid-partitioning still finds them.
-#[allow(clippy::too_many_arguments)]
-fn pbsm_attempt_journaled(
-    db: &Db,
-    spec: &JoinSpec,
-    config: &JoinConfig,
-    left: &RelationMeta,
-    right: &RelationMeta,
-    work_mem: usize,
-    p: usize,
-    fp: u64,
-    accepted: Option<&JoinResume>,
-) -> StorageResult<JoinOutcome> {
-    let mut tracker = CostTracker::new();
-    let mut stats = JoinStats::default();
-    let config = &JoinConfig {
-        work_mem_bytes: work_mem,
-        ..config.clone()
-    };
-
-    db.pool().journal_append(JournalRecord::JoinBegin {
-        join_id: fp,
-        fingerprint: fp,
-        partitions: p as u32,
-    })?;
-    let mut pair_ckpts: BTreeMap<u32, PairCkpt> = BTreeMap::new();
-    let mut run_ckpts: Vec<RunCkpt> = Vec::new();
-    if let Some(r) = accepted {
-        pbsm_obs::cached_counter!("pbsm.resume.joins").incr();
-        for pc in &r.pairs {
-            db.pool().journal_append(JournalRecord::PairDone {
-                join_id: fp,
-                pair_index: pc.index,
-                file: pc.file,
-                count: pc.count,
+        // Filter step, phase 1: partition both inputs (never
+        // checkpointed — partition files are cheap to rebuild relative to
+        // sweeps and sorts).
+        for rel in [left, right] {
+            let parts = tracker.run(&format!("partition {}", rel.name), || {
+                partition_input(db, rel, &grid, config.tile_map, p)
             })?;
-            pair_ckpts.insert(pc.index, *pc);
+            stats.input_elements += parts.input_elements;
+            stats.replicated_elements += parts.replicated_elements;
+            ledger.partitions.push(parts);
         }
-        // Run checkpoints are sound only when *every* pair was
-        // checkpointed: the refinement input is the concatenation of all
-        // pair files in index order, so one re-swept pair would shift the
-        // byte stream under the resumed runs' skip offsets.
-        if r.pairs.len() == p {
-            for rc in &r.runs {
-                db.pool().journal_append(JournalRecord::RunDone {
-                    join_id: fp,
-                    run_index: rc.index,
-                    file: rc.file,
-                    count: rc.count,
-                })?;
-                run_ckpts.push(*rc);
+
+        // Filter step, phase 2: plane-sweep merge of each partition pair,
+        // into one candidate file or, journaled, one checkpointed file per
+        // pair.
+        let [lp, rp] = ledger.partitions.as_slice() else {
+            return Err(StorageError::Corrupt("attempt lost a partitioned input"));
+        };
+        let candidates = &mut ledger.candidates;
+        let merged = tracker.run("merge partitions", || match &sink {
+            None => {
+                let (out, _) = merge_partitions(db, lp, rp, config)?;
+                candidates.insert(0, out);
+                Ok(())
             }
-        } else {
-            for rc in &r.runs {
-                RecordFile::open(rc.file, OID_PAIR_SIZE, rc.count).destroy(db.pool());
-            }
-        }
-    }
-    // While the checkpoint files are only referenced by `pair_ckpts` /
-    // `run_ckpts`, an early error must release them here; once handed to
-    // the merge / refinement they clean up on their own error paths.
-    let drop_ckpts = |db: &Db, pairs: &BTreeMap<u32, PairCkpt>, runs: &[RunCkpt]| {
-        for pc in pairs.values() {
-            RecordFile::open(pc.file, OID_PAIR_SIZE, pc.count).destroy(db.pool());
-        }
-        for rc in runs {
-            RecordFile::open(rc.file, OID_PAIR_SIZE, rc.count).destroy(db.pool());
-        }
-    };
+            Some(sink) => merge_pairs(
+                db,
+                lp,
+                rp,
+                config,
+                |i| sink.skip_pair(i),
+                |i, pairs| {
+                    let out = RecordFile::create(db.pool(), OID_PAIR_SIZE)?;
+                    let out = &*candidates.entry(i).or_insert(out);
+                    let mut writer = out.writer(db.pool());
+                    for (ro, so) in pairs {
+                        writer.push(&encode_pair(*ro, *so))?;
+                    }
+                    writer.finish()?;
+                    sink.pair_done(db, i, out)
+                },
+            ),
+        });
+        ledger.destroy_partitions(db);
+        merged?;
+        stats.resumed_pairs = sink.as_ref().map_or(0, |s| s.resumed.len() as u64);
 
-    let universe = left.universe.union(&right.universe);
-    let grid = TileGrid::new(universe, config.num_tiles.max(p));
-    stats.partitions = p;
-    stats.tiles = grid.num_tiles() as usize;
-
-    // Filter step, phase 1: partition both inputs (never checkpointed —
-    // partition files are cheap to rebuild relative to sweeps and sorts).
-    let left_parts = match tracker.run(&format!("partition {}", left.name), || {
-        partition_input(db, left, &grid, config.tile_map, p)
-    }) {
-        Ok(parts) => parts,
-        Err(e) => {
-            drop_ckpts(db, &pair_ckpts, &run_ckpts);
-            return Err(e);
+        // Refinement step: the sort reads the candidate files in pair
+        // order as one stream.
+        let runs = std::mem::take(&mut ledger.runs);
+        stats.resumed_runs = runs.len() as u64;
+        if !runs.is_empty() {
+            pbsm_obs::cached_counter!("pbsm.resume.runs_skipped").add(runs.len() as u64);
         }
+        let candidates: Vec<&RecordFile> = ledger.candidates.values().collect();
+        stats.candidates = candidates.iter().map(|f| f.count()).sum();
+        let refined = tracker.run("refinement step", || {
+            let mut on_run = |index: u32, run: &RecordFile| match &sink {
+                Some(sink) => sink.run_done(db, index, run),
+                None => Ok(()),
+            };
+            let ckpt = sink.is_some().then_some(SortCheckpoint {
+                resume_runs: runs,
+                on_run: &mut on_run,
+            });
+            refine_candidates(
+                db,
+                &candidates,
+                left,
+                right,
+                spec.predicate,
+                &config.refine,
+                work_mem,
+                ckpt,
+            )
+        })?;
+        stats.unique_candidates = refined.unique_candidates;
+        stats.results = refined.pairs.len() as u64;
+        let out = JoinOutcome {
+            pairs: refined.pairs,
+            report: tracker.finish(),
+            stats,
+            profile: None,
+        };
+        Ok((out, sink))
     };
-    let right_parts = match tracker.run(&format!("partition {}", right.name), || {
-        partition_input(db, right, &grid, config.tile_map, p)
-    }) {
-        Ok(parts) => parts,
-        Err(e) => {
-            left_parts.destroy(db);
-            drop_ckpts(db, &pair_ckpts, &run_ckpts);
-            return Err(e);
-        }
-    };
-    stats.input_elements = left_parts.input_elements + right_parts.input_elements;
-    stats.replicated_elements = left_parts.replicated_elements + right_parts.replicated_elements;
-
-    // Filter step, phase 2: sweep each pair into its own checkpointed
-    // candidate file (resumed pairs are skipped inside).
-    let merged = tracker.run("merge partitions", || {
-        merge_partitions_ckpt(db, &left_parts, &right_parts, config, fp, &pair_ckpts)
-    });
-    left_parts.destroy(db);
-    right_parts.destroy(db);
-    let merged = match merged {
-        Ok(m) => m,
-        Err(e) => {
-            // merge_partitions_ckpt destroyed every pair file (resumed
-            // ones included); only the run checkpoints are still ours.
-            drop_ckpts(db, &BTreeMap::new(), &run_ckpts);
-            return Err(e);
-        }
-    };
-    stats.candidates = merged.candidates;
-    stats.resumed_pairs = merged.resumed_pairs;
-
-    // Refinement step over the concatenated candidate stream.
-    let candidates = match concat_candidates(db, &merged.files) {
-        Ok(c) => c,
-        Err(e) => {
-            merged.destroy(db);
-            drop_ckpts(db, &BTreeMap::new(), &run_ckpts);
-            return Err(e);
-        }
-    };
-    stats.resumed_runs = run_ckpts.len() as u64;
-    if !run_ckpts.is_empty() {
-        pbsm_obs::cached_counter!("pbsm.resume.runs_skipped").add(run_ckpts.len() as u64);
-    }
-    let refined = match tracker.run("refinement step", || {
-        refinement_step_ckpt(
-            db,
-            &candidates,
-            left,
-            right,
-            spec.predicate,
-            &config.refine,
-            work_mem,
-            Some((fp, &run_ckpts)),
-        )
-    }) {
-        Ok(refined) => refined,
-        Err(e) => {
-            // The checkpointed sort destroyed all runs (resumed included).
-            candidates.destroy(db.pool());
-            merged.destroy(db);
-            return Err(e);
-        }
-    };
-    if crate::telemetry::force_temp_leak() {
-        // Test hook: leak the candidate file (see pbsm_attempt). The
-        // skipped TempDropped also leaves the intent open, so the
+    let result = run(&mut ledger);
+    if result.is_ok() && crate::telemetry::force_temp_leak() {
+        // Test hook: leak the candidate files so the leak sentinel has a
+        // genuine monotonic drift to detect. Journaled, the skipped
+        // `TempDropped` records also leave intents open, so the
         // journal-length leak axis drifts alongside live pages.
-    } else {
-        candidates.destroy(db.pool());
+        ledger.candidates.clear();
     }
-    merged.destroy(db);
-    db.pool()
-        .journal_append(JournalRecord::JoinEnd { join_id: fp })?;
-    stats.unique_candidates = refined.unique_candidates;
-    stats.results = refined.pairs.len() as u64;
-
-    Ok(JoinOutcome {
-        pairs: refined.pairs,
-        report: tracker.finish(),
-        stats,
-        profile: None,
-    })
+    ledger.destroy(db);
+    let (out, sink) = result?;
+    if let Some(sink) = sink {
+        sink.end(db)?;
+    }
+    Ok(out)
 }
 
 #[cfg(test)]

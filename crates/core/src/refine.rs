@@ -10,13 +10,12 @@
 //! and the join attributes of the R and the S tuple are checked to
 //! determine whether they satisfy the join condition."
 
-use crate::keyptr::{cmp_pair_bytes, decode_pair, OID_PAIR_SIZE};
+use crate::keyptr::{cmp_pair_bytes, decode_pair};
 use pbsm_geom::predicates::{evaluate, RefineOptions, SpatialPredicate};
 use pbsm_geom::Geometry;
 use pbsm_storage::catalog::RelationMeta;
-use pbsm_storage::extsort::{external_sort_ckpt, SortCheckpoint};
+use pbsm_storage::extsort::{external_sort_files, SortCheckpoint};
 use pbsm_storage::heap::HeapFile;
-use pbsm_storage::journal::{JournalRecord, RunCkpt};
 use pbsm_storage::record::RecordFile;
 use pbsm_storage::tuple::SpatialTuple;
 use pbsm_storage::{Db, Oid, StorageError, StorageResult};
@@ -43,57 +42,41 @@ pub fn refinement_step(
     opts: &RefineOptions,
     work_mem: usize,
 ) -> StorageResult<RefineOutcome> {
-    refinement_step_ckpt(db, candidates, left, right, predicate, opts, work_mem, None)
+    refine_candidates(
+        db,
+        &[candidates],
+        left,
+        right,
+        predicate,
+        opts,
+        work_mem,
+        None,
+    )
 }
 
-/// [`refinement_step`] with optional crash checkpointing of the candidate
-/// sort. With `ckpt = Some((join_id, runs))`, durable sort runs recovered
-/// from the journal are reused (their input records are skipped), and each
-/// newly completed run is journaled as a `RunDone` so a later crash can
-/// resume from it. The refinement scan itself is not checkpointed — it is
-/// a pure read over the sorted file and simply re-runs after a crash.
+/// The refinement path behind [`refinement_step`], over candidate files
+/// read in order as one pair stream (a journaled join keeps one file per
+/// partition pair). With `ckpt`, the candidate sort reuses durable runs
+/// recovered from the journal (skipping the input records they hold) and
+/// reports each newly completed run so it can be checkpointed. The
+/// refinement scan itself is not checkpointed — it is a pure read over
+/// the sorted file and simply re-runs after a crash.
 #[allow(clippy::too_many_arguments)]
-pub fn refinement_step_ckpt(
+pub(crate) fn refine_candidates(
     db: &Db,
-    candidates: &RecordFile,
+    candidates: &[&RecordFile],
     left: &RelationMeta,
     right: &RelationMeta,
     predicate: SpatialPredicate,
     opts: &RefineOptions,
     work_mem: usize,
-    ckpt: Option<(u64, &[RunCkpt])>,
+    ckpt: Option<SortCheckpoint<'_>>,
 ) -> StorageResult<RefineOutcome> {
     // Sort by (OID_R, OID_S), eliminating duplicates during the sort.
-    let sorted = match ckpt {
-        None => external_sort_ckpt(db.pool(), candidates, work_mem, cmp_pair_bytes, true, None)?,
-        Some((join_id, runs)) => {
-            let resume_runs: Vec<RecordFile> = runs
-                .iter()
-                .map(|r| RecordFile::open(r.file, OID_PAIR_SIZE, r.count))
-                .collect();
-            let mut on_run = |idx: u32, run: &RecordFile| {
-                db.pool().journal_append(JournalRecord::RunDone {
-                    join_id,
-                    run_index: idx,
-                    file: run.file_id(),
-                    count: run.count(),
-                })
-            };
-            external_sort_ckpt(
-                db.pool(),
-                candidates,
-                work_mem,
-                cmp_pair_bytes,
-                true,
-                Some(SortCheckpoint {
-                    resume_runs,
-                    on_run: &mut on_run,
-                }),
-            )?
-        }
-    };
+    let sorted = external_sort_files(db.pool(), candidates, work_mem, cmp_pair_bytes, true, ckpt)?;
     let unique_candidates = sorted.count();
-    pbsm_obs::cached_counter!("pbsm.refine.raw_candidates").add(candidates.count());
+    let raw_candidates = candidates.iter().map(|f| f.count()).sum();
+    pbsm_obs::cached_counter!("pbsm.refine.raw_candidates").add(raw_candidates);
     pbsm_obs::cached_counter!("pbsm.refine.unique_candidates").add(unique_candidates);
     // Destroy the sorted temp file on error paths too, so an ENOSPC
     // abort leaves no stranded pages behind for the degraded re-run.

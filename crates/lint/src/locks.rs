@@ -29,21 +29,6 @@ pub const LOCKS: &[LockDecl] = &[
         acquirers: &["catalog", "catalog_mut"],
     },
     LockDecl {
-        name: "disk.files",
-        fields: &["files"],
-        acquirers: &[],
-    },
-    LockDecl {
-        name: "parallel.next",
-        fields: &["next"],
-        acquirers: &[],
-    },
-    LockDecl {
-        name: "parallel.slots",
-        fields: &["slots"],
-        acquirers: &[],
-    },
-    LockDecl {
         name: "pool.disk",
         fields: &["disk"],
         acquirers: &["disk", "disk_mut"],
@@ -73,9 +58,6 @@ pub const LOCKS: &[LockDecl] = &[
 /// `LockId` variant → registry name, for `lock(&…, LockId::X)` sites.
 pub const VARIANTS: &[(&str, &str)] = &[
     ("Catalog", "catalog"),
-    ("DiskFiles", "disk.files"),
-    ("ParallelNext", "parallel.next"),
-    ("ParallelSlots", "parallel.slots"),
     ("PoolDisk", "pool.disk"),
     ("PoolFrame", "pool.frame"),
     ("PoolJournal", "pool.journal"),
@@ -91,16 +73,10 @@ pub const ORDER: &[(&str, &str)] = &[
     ("catalog", "pool.disk"),
     ("catalog", "pool.retry"),
     ("catalog", "pool.journal"),
-    ("catalog", "disk.files"),
-    ("catalog", "parallel.next"),
-    ("catalog", "parallel.slots"),
     ("pool.state", "pool.frame"),
     ("pool.state", "pool.disk"),
     ("pool.state", "pool.retry"),
-    ("pool.state", "disk.files"),
     ("pool.journal", "pool.disk"),
-    ("pool.journal", "disk.files"),
-    ("pool.disk", "disk.files"),
 ];
 
 /// Locks whose *holding* constrains nothing — the pin-count protocol:

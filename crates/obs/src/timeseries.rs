@@ -22,9 +22,7 @@
 //! moved is indistinguishable from one that was merely registered (the
 //! registry lazily interns names and [`crate::reset`] zeroes rather
 //! than un-interns), so omitting zeros is what makes a re-run inside
-//! the same process byte-identical to the first run. Per-file disk
-//! counters (`storage.disk.file.*`) are excluded: their names embed
-//! transient file ids and would differ run to run.
+//! the same process byte-identical to the first run.
 //!
 //! # Sentinels
 //!
@@ -51,8 +49,6 @@ pub struct SamplerConfig {
     pub every_ticks: u64,
     /// Ring bound: oldest samples are evicted past this.
     pub ring_capacity: usize,
-    /// Series whose name starts with any of these are never sampled.
-    pub exclude_prefixes: Vec<String>,
 }
 
 impl Default for SamplerConfig {
@@ -60,7 +56,6 @@ impl Default for SamplerConfig {
         SamplerConfig {
             every_ticks: 0,
             ring_capacity: 256,
-            exclude_prefixes: vec!["storage.disk.file.".into()],
         }
     }
 }
@@ -150,10 +145,6 @@ pub fn evicted() -> u64 {
     SAMPLER.with(|s| s.borrow().evicted)
 }
 
-fn excluded(name: &str, prefixes: &[String]) -> bool {
-    prefixes.iter().any(|p| name.starts_with(p.as_str()))
-}
-
 fn capture() {
     crate::counter(names::TIMESERIES_SAMPLES).incr();
     // The accessors run the deferred-metric flushers, so gauge levels
@@ -164,11 +155,8 @@ fn capture() {
     let all_hists = crate::histogram_counts();
     SAMPLER.with(|s| {
         let mut s = s.borrow_mut();
-        let prefixes = s.config.exclude_prefixes.clone();
-        let counters: Vec<(String, u64)> = all_counters
-            .into_iter()
-            .filter(|(n, v)| *v > 0 && !excluded(n, &prefixes))
-            .collect();
+        let counters: Vec<(String, u64)> =
+            all_counters.into_iter().filter(|(_, v)| *v > 0).collect();
         let deltas: Vec<(String, u64)> = counters
             .iter()
             .filter_map(|(n, v)| {
@@ -184,14 +172,8 @@ fn capture() {
             tick: s.ticks,
             interval: s.ticks - s.last_sample_tick,
             deltas,
-            gauges: all_gauges
-                .into_iter()
-                .filter(|(n, v)| *v > 0 && !excluded(n, &prefixes))
-                .collect(),
-            hist_counts: all_hists
-                .into_iter()
-                .filter(|(n, v)| *v > 0 && !excluded(n, &prefixes))
-                .collect(),
+            gauges: all_gauges.into_iter().filter(|(_, v)| *v > 0).collect(),
+            hist_counts: all_hists.into_iter().filter(|(_, v)| *v > 0).collect(),
             counters: counters.clone(),
         };
         s.prev_counters = counters;
@@ -628,7 +610,6 @@ mod tests {
         SamplerConfig {
             every_ticks: every,
             ring_capacity: cap,
-            ..SamplerConfig::default()
         }
     }
 
@@ -685,18 +666,6 @@ mod tests {
         assert_eq!(got.len(), 3);
         assert_eq!(got[0].tick, 3, "ticks 1 and 2 evicted");
         assert_eq!(evicted(), 2);
-    }
-
-    #[test]
-    fn excluded_prefixes_never_appear() {
-        clear();
-        configure(cfg(1, 4));
-        counter_for_test("storage.disk.file.42.reads").add(9);
-        counter_for_test("ts2.kept").add(1);
-        tick();
-        let s = &samples()[0];
-        assert!(s.counters.iter().any(|(n, _)| n == "ts2.kept"));
-        assert!(!s.counters.iter().any(|(n, _)| n.contains("disk.file")));
     }
 
     #[test]

@@ -9,12 +9,11 @@
 
 use crate::error::{StorageError, StorageResult};
 use crate::fault::{page_checksum, FaultConfig, FaultSchedule, FaultTally, WriteDecision};
-use crate::lockcheck::{self, LockId};
 use crate::page::{zeroed_page, FileId, PageBuf, PageId, PAGE_SIZE};
 use pbsm_obs as obs;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Disk timing parameters.
 ///
@@ -82,47 +81,6 @@ impl DiskStats {
     }
 }
 
-/// Per-file observability counters (`storage.disk.file.<id>.*`), interned
-/// once at file creation. Deferred like the pool counters: the I/O path
-/// bumps atomics (the disk may sit behind a shared pool's mutex) and
-/// [`DiskCounters`] drains them at every `pbsm_obs` synchronization
-/// point on the registering thread.
-struct FileCounters {
-    pending_reads: AtomicU64,
-    pending_writes: AtomicU64,
-    pending_seeks: AtomicU64,
-    reads: obs::Counter,
-    writes: obs::Counter,
-    seeks: obs::Counter,
-}
-
-impl FileCounters {
-    fn new(id: FileId) -> Self {
-        let name = |kind: &str| format!("storage.disk.file.{}.{kind}", id.0);
-        FileCounters {
-            pending_reads: AtomicU64::new(0),
-            pending_writes: AtomicU64::new(0),
-            pending_seeks: AtomicU64::new(0),
-            reads: obs::counter(&name("reads")),
-            writes: obs::counter(&name("writes")),
-            seeks: obs::counter(&name("seeks")),
-        }
-    }
-
-    fn flush(&self) {
-        for (pending, counter) in [
-            (&self.pending_reads, self.reads),
-            (&self.pending_writes, self.writes),
-            (&self.pending_seeks, self.seeks),
-        ] {
-            let n = pending.swap(0, Ordering::Relaxed);
-            if n > 0 {
-                counter.add(n);
-            }
-        }
-    }
-}
-
 struct FileData {
     pages: Vec<PageBuf>,
     /// Sidecar checksum per page, computed over the bytes the writer
@@ -134,13 +92,11 @@ struct FileData {
     /// Freed files keep their slot (FileIds are never reused) but drop
     /// their pages.
     dropped: bool,
-    counters: Arc<FileCounters>,
 }
 
 /// Disk-wide observability counters. `io_ns` mirrors `DiskStats::io_ms`
 /// as integer nanoseconds so span deltas stay exact. One registered
-/// [`obs::FlushMetrics`] source per disk drains both the disk-wide and
-/// the per-file pending cells.
+/// [`obs::FlushMetrics`] source per disk drains the pending cells.
 struct DiskCounters {
     pending_reads: AtomicU64,
     pending_writes: AtomicU64,
@@ -156,7 +112,6 @@ struct DiskCounters {
     live_pages: AtomicU64,
     live_pages_published: AtomicU64,
     live_pages_gauge: obs::Gauge,
-    files: Mutex<Vec<Arc<FileCounters>>>,
 }
 
 impl Drop for DiskCounters {
@@ -188,10 +143,6 @@ impl obs::FlushMetrics for DiskCounters {
         if live != self.live_pages_published.load(Ordering::Relaxed) {
             self.live_pages_gauge.set(live);
             self.live_pages_published.store(live, Ordering::Relaxed);
-        }
-        let files = lockcheck::lock(&self.files, LockId::DiskFiles);
-        for f in files.iter() {
-            f.flush();
         }
     }
 }
@@ -264,7 +215,6 @@ impl SimDisk {
                     live_pages: AtomicU64::new(0),
                     live_pages_published: AtomicU64::new(0),
                     live_pages_gauge: obs::gauge("storage.disk.live_pages"),
-                    files: Mutex::new(Vec::new()),
                 });
                 let weak = Arc::downgrade(&counters);
                 let weak: std::sync::Weak<dyn obs::FlushMetrics> = weak;
@@ -397,13 +347,10 @@ impl SimDisk {
     /// Creates a new empty file and returns its id.
     pub fn create_file(&mut self) -> FileId {
         let id = FileId(self.files.len() as u32);
-        let counters = Arc::new(FileCounters::new(id));
-        lockcheck::lock(&self.counters.files, LockId::DiskFiles).push(Arc::clone(&counters));
         self.files.push(FileData {
             pages: Vec::new(),
             sums: Vec::new(),
             dropped: false,
-            counters,
         });
         id
     }
@@ -476,7 +423,6 @@ impl SimDisk {
 
     #[inline]
     fn account(&mut self, pid: PageId, is_write: bool) {
-        let file = Arc::clone(&self.files[pid.file.0 as usize].counters);
         let sequential = match self.last_pos {
             Some(last) => last.file == pid.file && pid.page_no == last.page_no.wrapping_add(1),
             None => false,
@@ -487,7 +433,6 @@ impl SimDisk {
             self.stats.io_ms += self.model.seek_ms;
             io_ns += self.seek_ns;
             obs::bump_shared(&self.counters.pending_seeks);
-            obs::bump_shared(&file.pending_seeks);
         }
         self.stats.io_ms += self.model.page_transfer_ms();
         self.counters
@@ -496,11 +441,9 @@ impl SimDisk {
         if is_write {
             self.stats.writes += 1;
             obs::bump_shared(&self.counters.pending_writes);
-            obs::bump_shared(&file.pending_writes);
         } else {
             self.stats.reads += 1;
             obs::bump_shared(&self.counters.pending_reads);
-            obs::bump_shared(&file.pending_reads);
         }
         self.last_pos = Some(pid);
     }

@@ -43,7 +43,7 @@ pub fn external_sort(
     cmp: impl Fn(&[u8], &[u8]) -> Ordering + Copy,
     dedup: bool,
 ) -> StorageResult<RecordFile> {
-    external_sort_ckpt(pool, input, work_mem, cmp, dedup, None)
+    external_sort_files(pool, &[input], work_mem, cmp, dedup, None)
 }
 
 /// [`external_sort`] with optional crash checkpoints: previously durable
@@ -52,6 +52,20 @@ pub fn external_sort(
 pub fn external_sort_ckpt(
     pool: &BufferPool,
     input: &RecordFile,
+    work_mem: usize,
+    cmp: impl Fn(&[u8], &[u8]) -> Ordering + Copy,
+    dedup: bool,
+    ckpt: Option<SortCheckpoint<'_>>,
+) -> StorageResult<RecordFile> {
+    external_sort_files(pool, &[input], work_mem, cmp, dedup, ckpt)
+}
+
+/// [`external_sort_ckpt`] over several inputs read in order as one record
+/// stream, so a resumed run's skip offset counts records of that stream.
+/// All inputs must share one record size.
+pub fn external_sort_files(
+    pool: &BufferPool,
+    inputs: &[&RecordFile],
     work_mem: usize,
     cmp: impl Fn(&[u8], &[u8]) -> Ordering + Copy,
     dedup: bool,
@@ -66,7 +80,7 @@ pub fn external_sort_ckpt(
         runs = c.resume_runs;
         on_run = Some(c.on_run);
     }
-    match sort_with_runs(pool, input, work_mem, cmp, dedup, &mut runs, skip, on_run) {
+    match sort_with_runs(pool, inputs, work_mem, cmp, dedup, &mut runs, skip, on_run) {
         Ok(out) => Ok(out),
         Err(e) => {
             // An error mid-spill (e.g. ENOSPC) must not strand run pages:
@@ -84,28 +98,47 @@ pub fn external_sort_ckpt(
 #[allow(clippy::too_many_arguments)]
 fn sort_with_runs(
     pool: &BufferPool,
-    input: &RecordFile,
+    inputs: &[&RecordFile],
     work_mem: usize,
     cmp: impl Fn(&[u8], &[u8]) -> Ordering + Copy,
     dedup: bool,
     runs: &mut Vec<RecordFile>,
-    skip: u64,
+    mut skip: u64,
     mut on_run: Option<OnRun<'_>>,
 ) -> StorageResult<RecordFile> {
-    let rec_size = input.rec_size();
+    let rec_size = inputs
+        .first()
+        .ok_or(StorageError::Corrupt("external sort without input"))?
+        .rec_size();
+    debug_assert!(inputs.iter().all(|f| f.rec_size() == rec_size));
     let per_run = (work_mem / rec_size).max(1);
 
-    // Phase 1: run generation, starting past any resumed prefix.
+    // Phase 1: run generation, starting past any resumed prefix. Inputs
+    // the prefix covers whole are never opened.
     {
-        let mut reader = input.reader_at(pool, skip);
+        let mut readers = Vec::with_capacity(inputs.len());
+        for input in inputs {
+            if skip >= input.count() {
+                skip -= input.count();
+            } else {
+                readers.push(input.reader_at(pool, skip));
+                skip = 0;
+            }
+        }
+        let mut at = 0;
         let mut chunk: Vec<u8> = Vec::with_capacity(per_run * rec_size);
         loop {
-            let done = match reader.next_record()? {
-                Some(rec) => {
-                    chunk.extend_from_slice(rec);
-                    false
+            let done = loop {
+                let Some(reader) = readers.get_mut(at) else {
+                    break true;
+                };
+                match reader.next_record()? {
+                    Some(rec) => {
+                        chunk.extend_from_slice(rec);
+                        break false;
+                    }
+                    None => at += 1,
                 }
-                None => true,
             };
             if chunk.len() / rec_size >= per_run || (done && !chunk.is_empty()) {
                 let run = write_sorted_run(pool, &chunk, rec_size, cmp)?;
@@ -360,45 +393,57 @@ mod tests {
         // records each, matching work_mem 256 / rec_size 8) survived as
         // durable files; the rest of the input was never spilled. The
         // resumed sort must skip their prefix of the input, regenerate
-        // only the remainder, and still produce the full sorted output.
-        let pool = pool(32);
+        // only the remainder, and still produce the full sorted output —
+        // also when the input is split across files and the prefix ends
+        // inside the second of them.
         let keys: Vec<u64> = (0..500u64)
             .map(|i| i.wrapping_mul(0x9E3779B97F4A7C15))
             .collect();
-        let input = fill(&pool, &keys);
+        for splits in [vec![500], vec![50, 100, 350]] {
+            let pool = pool(32);
+            let mut rest = &keys[..];
+            let inputs: Vec<RecordFile> = splits
+                .iter()
+                .map(|&n| {
+                    let (head, tail) = rest.split_at(n);
+                    rest = tail;
+                    fill(&pool, head)
+                })
+                .collect();
 
-        let per_run = 256 / 8;
-        let mut resume_runs = Vec::new();
-        for chunk in keys.chunks(per_run).take(2) {
-            let mut sorted = chunk.to_vec();
-            sorted.sort_unstable();
-            resume_runs.push(fill(&pool, &sorted));
+            let per_run = 256 / 8;
+            let mut resume_runs = Vec::new();
+            for chunk in keys.chunks(per_run).take(2) {
+                let mut sorted = chunk.to_vec();
+                sorted.sort_unstable();
+                resume_runs.push(fill(&pool, &sorted));
+            }
+
+            let mut new_runs: Vec<u32> = Vec::new();
+            let mut on_run = |idx: u32, run: &RecordFile| {
+                assert_eq!(run.rec_size(), 8);
+                new_runs.push(idx);
+                Ok(())
+            };
+            let sorted = external_sort_files(
+                &pool,
+                &inputs.iter().collect::<Vec<_>>(),
+                256,
+                u64_cmp,
+                false,
+                Some(SortCheckpoint {
+                    resume_runs,
+                    on_run: &mut on_run,
+                }),
+            )
+            .unwrap();
+
+            let mut want = keys.clone();
+            want.sort_unstable();
+            assert_eq!(read_keys(&pool, &sorted), want, "splits {splits:?}");
+            // 500 records − 64 resumed = 436 left → 14 new runs, indices 2..16.
+            assert_eq!(new_runs, (2..16).collect::<Vec<u32>>(), "splits {splits:?}");
         }
-
-        let mut new_runs: Vec<u32> = Vec::new();
-        let mut on_run = |idx: u32, run: &RecordFile| {
-            assert_eq!(run.rec_size(), 8);
-            new_runs.push(idx);
-            Ok(())
-        };
-        let sorted = external_sort_ckpt(
-            &pool,
-            &input,
-            256,
-            u64_cmp,
-            false,
-            Some(SortCheckpoint {
-                resume_runs,
-                on_run: &mut on_run,
-            }),
-        )
-        .unwrap();
-
-        let mut want = keys.clone();
-        want.sort_unstable();
-        assert_eq!(read_keys(&pool, &sorted), want);
-        // 500 records − 64 resumed = 436 left → 14 new runs, indices 2..16.
-        assert_eq!(new_runs, (2..16).collect::<Vec<u32>>());
     }
 
     #[test]

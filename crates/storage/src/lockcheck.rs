@@ -13,10 +13,9 @@
 //! ```text
 //! catalog ──→ pool.state ──→ pool.frame
 //!    │             │   ⇅ (pin protocol)
-//!    │             ├──→ pool.disk ──→ disk.files
+//!    │             ├──→ pool.disk
 //!    │             └──→ pool.retry
-//!    ├──→ pool.journal ──→ pool.disk
-//!    └──→ parallel.next / parallel.slots   (leaves; never nested)
+//!    └──→ pool.journal ──→ pool.disk
 //! ```
 //!
 //! Two relaxations, shared verbatim with the static rule:
@@ -66,12 +65,6 @@ pub enum LockId {
     PoolRetry,
     /// `BufferPool::journal` — the intent-journal slot.
     PoolJournal,
-    /// `DiskCounters::files` — the per-file counter roster.
-    DiskFiles,
-    /// `parallel.rs` work-queue cursor.
-    ParallelNext,
-    /// `parallel.rs` result slots.
-    ParallelSlots,
 }
 
 /// Every tracked lock, for exhaustive cross-checks against the lint
@@ -83,9 +76,6 @@ pub const ALL_LOCKS: &[LockId] = &[
     LockId::PoolDisk,
     LockId::PoolRetry,
     LockId::PoolJournal,
-    LockId::DiskFiles,
-    LockId::ParallelNext,
-    LockId::ParallelSlots,
 ];
 
 impl LockId {
@@ -98,9 +88,6 @@ impl LockId {
             LockId::PoolDisk => "pool.disk",
             LockId::PoolRetry => "pool.retry",
             LockId::PoolJournal => "pool.journal",
-            LockId::DiskFiles => "disk.files",
-            LockId::ParallelNext => "parallel.next",
-            LockId::ParallelSlots => "parallel.slots",
         }
     }
 }
@@ -113,16 +100,10 @@ pub const ORDER: &[(LockId, LockId)] = &[
     (LockId::Catalog, LockId::PoolDisk),
     (LockId::Catalog, LockId::PoolRetry),
     (LockId::Catalog, LockId::PoolJournal),
-    (LockId::Catalog, LockId::DiskFiles),
-    (LockId::Catalog, LockId::ParallelNext),
-    (LockId::Catalog, LockId::ParallelSlots),
     (LockId::PoolState, LockId::PoolFrame),
     (LockId::PoolState, LockId::PoolDisk),
     (LockId::PoolState, LockId::PoolRetry),
-    (LockId::PoolState, LockId::DiskFiles),
     (LockId::PoolJournal, LockId::PoolDisk),
-    (LockId::PoolJournal, LockId::DiskFiles),
-    (LockId::PoolDisk, LockId::DiskFiles),
 ];
 
 /// Locks whose *holding* constrains nothing (the pin-count protocol).

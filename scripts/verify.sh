@@ -20,6 +20,9 @@ test -s bench_results/lint.json
 echo "==> cargo test"
 cargo test -q --release
 
+echo "==> pbsmbench test (its own workspace: builds against the library APIs it calls)"
+cargo test -q --release --offline --manifest-path pbsmbench/Cargo.toml
+
 echo "==> lockcheck stress (debug build: latch-order sentinel armed, 8 threads)"
 PBSM_SERVE_THREADS=8 PBSM_LOCKCHECK_DUMP=bench_results/lockcheck_violation.txt \
     cargo test -q -p pbsm --test concurrent_serving

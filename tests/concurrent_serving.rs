@@ -240,6 +240,28 @@ fn pool_gauges_return_to_baseline_after_db_drops() {
 }
 
 #[test]
+fn counters_stay_readable_after_joins_on_another_thread() {
+    // Temp files created by joins on a serving thread must not leave
+    // metric handles behind that the building thread later indexes: the
+    // disk's flusher runs on this thread at every counter read.
+    let db = Db::new(DbConfig::with_pool_mb(1));
+    let cfg = TigerConfig::scaled(0.02);
+    load_relation(&db, "road", &tiger::road(&cfg), false).unwrap();
+    load_relation(&db, "hydro", &tiger::hydrography(&cfg), false).unwrap();
+    let spec = JoinSpec::new("road", "hydro", SpatialPredicate::Intersects);
+    let config = JoinConfig::for_db(&db);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for _ in 0..20 {
+                pbsm_join_at(db.read_snapshot(), &spec, &config).unwrap();
+            }
+        });
+    });
+    let reads = pbsm_obs::counter("storage.disk.reads").get();
+    assert!(reads > 0, "loading spilled nothing: {reads} reads");
+}
+
+#[test]
 fn snapshot_handles_share_one_pool() {
     // Two snapshots of the same Db observe each other's cache effects:
     // the second identical query is warmer than the first. (Snapshots

@@ -153,12 +153,6 @@ fn extensions_preserve_answers() {
     };
     assert_eq!(pbsm_join(&db, &spec, &repart).unwrap().pairs, want);
 
-    let par = JoinConfig {
-        merge_threads: 3,
-        ..base.clone()
-    };
-    assert_eq!(pbsm_join(&db, &spec, &par).unwrap().pairs, want);
-
     let rr = JoinConfig {
         tile_map: TileMapScheme::RoundRobin,
         ..base.clone()
@@ -198,6 +192,7 @@ fn sorted_flush_off_still_correct() {
 // the fault-free ground truth bit-for-bit or fail with a clean typed error.
 // ---------------------------------------------------------------------------
 
+use pbsm::join::RecoveryPolicy;
 use pbsm::storage::FaultConfig;
 
 #[test]
@@ -249,43 +244,132 @@ fn all_algorithms_survive_transient_faults_identically() {
     }
 }
 
+/// `n` random segments in a 100 × 100 universe, each spanning up to `len`
+/// along both axes.
+fn segments(n: usize, len: f64, seed: u64) -> Vec<SpatialTuple> {
+    let mut rnd = pbsm::geom::lcg::Lcg::new(seed);
+    (0..n)
+        .map(|i| {
+            let (x, y) = (rnd.next_f64() * 100.0, rnd.next_f64() * 100.0);
+            let end = Point::new(x + rnd.next_f64() * len, y + rnd.next_f64() * len);
+            SpatialTuple::new(
+                i as u64,
+                Polyline::new(vec![Point::new(x, y), end]).into(),
+                16,
+            )
+        })
+        .collect()
+}
+
 #[test]
 fn pbsm_enospc_fails_clean_and_destroys_temp_files() {
-    // A capacity budget with almost no headroom: every recovery attempt
-    // must hit the wall, the driver must surface `DiskFull` as a typed
-    // error (never a panic), and — the cleanup-on-error contract — every
-    // temp file of every failed attempt must be destroyed, leaving the
-    // disk at its pre-join footprint with no pinned frames.
-    let db = setup_tiger(2, false);
-    db.pool().flush_all().unwrap();
-    let baseline = db.pool().disk().live_pages();
-    db.pool().disk_mut().set_faults(Some(FaultConfig {
-        capacity_pages: Some(baseline + 4),
-        ..FaultConfig::default()
-    }));
-    let spec = JoinSpec::new("road", "hydro", SpatialPredicate::Intersects);
+    // Capacity budgets from almost no headroom up to the join's peak
+    // footprint, with degradation disabled so the first `DiskFull`
+    // surfaces. The inputs overlap densely enough that their candidate
+    // pairs take about as many pages as their partitions, so depending
+    // on the budget the join runs out of space while partitioning,
+    // merging or sorting candidates. Wherever it lands, the driver must
+    // surface `DiskFull` as a typed error (never a panic), and — the
+    // cleanup-on-error contract — every temp file of the failed attempt
+    // must be destroyed, leaving the disk at its pre-join footprint with
+    // no pinned frames. A journaled attempt must also close every
+    // intent, leaving recovery nothing to reclaim.
+    let spec = JoinSpec::new("r", "s", SpatialPredicate::Intersects);
     let config = JoinConfig {
         work_mem_bytes: 64 * 1024,
+        recovery: RecoveryPolicy::disabled(),
         ..JoinConfig::default()
     };
-    let err = match pbsm_join(&db, &spec, &config) {
-        Ok(_) => panic!("join must fail under a {}-page headroom", 4),
-        Err(e) => e,
-    };
-    assert!(err.is_disk_full(), "expected DiskFull, got {err}");
-    assert_eq!(
-        db.pool().disk().live_pages(),
-        baseline,
-        "failed attempts must destroy all their temp files"
-    );
-    let (free, pinned, mapped) = db.pool().frame_census();
-    assert_eq!(pinned, 0);
-    assert_eq!(free + mapped, db.pool().num_frames());
+    let (r, s) = (segments(2000, 6.0, 1), segments(2000, 6.0, 2));
+    let counter = |name: &str| pbsm_obs::counter(name).get();
+    for journal in [false, true] {
+        let db_config = DbConfig {
+            journal,
+            ..DbConfig::with_pool_mb(2)
+        };
+        let db = Db::new(db_config);
+        let metas = [
+            load_relation(&db, "r", &r, false).unwrap(),
+            load_relation(&db, "s", &s, false).unwrap(),
+        ];
+        db.pool().flush_all().unwrap();
+        let truth = ground_truth(&db, "r", "s", SpatialPredicate::Intersects);
+        // Pages held outside the journal, which legitimately only grows.
+        let footprint = |db: &Db| {
+            let b = db.telemetry_baseline();
+            b.live_pages - b.journal_pages
+        };
+        let join_with_headroom = |db: &Db, headroom: u64| {
+            let cap = db.pool().disk().live_pages() + headroom;
+            db.pool().disk_mut().set_faults(Some(FaultConfig {
+                capacity_pages: Some(cap),
+                ..FaultConfig::default()
+            }));
+            let out = pbsm_join(db, &spec, &config);
+            db.pool().disk_mut().set_faults(None);
+            out
+        };
 
-    // With the budget lifted the same database still answers correctly.
-    db.pool().disk_mut().set_faults(None);
-    let truth = ground_truth(&db, "road", "hydro", SpatialPredicate::Intersects);
-    assert_eq!(pbsm_join(&db, &spec, &config).unwrap().pairs, truth);
+        // The peak footprint: the smallest headroom the join survives.
+        let (mut fails, mut peak) = (4u64, 8u64);
+        while join_with_headroom(&db, peak).is_err() {
+            (fails, peak) = (peak, peak * 2);
+        }
+        while peak - fails > 1 {
+            let mid = (fails + peak) / 2;
+            match join_with_headroom(&db, mid) {
+                Ok(_) => peak = mid,
+                Err(_) => fails = mid,
+            }
+        }
+
+        let mut db = db;
+        let mut phases = std::collections::BTreeSet::new();
+        let steps = 10;
+        for step in 0..steps {
+            let headroom = 4 + (peak - 4) * step / steps;
+            let ctx = format!("journal={journal}, headroom {headroom} of {peak} pages");
+            let before = footprint(&db);
+            let partitioned = counter("pbsm.partition.input_elements");
+            let merged = counter("pbsm.merge.sweep_comparisons");
+            let err = match join_with_headroom(&db, headroom) {
+                Ok(_) => panic!("{ctx}: the join must fail"),
+                Err(e) => e,
+            };
+            assert!(err.is_disk_full(), "{ctx}: expected DiskFull, got {err}");
+            phases.insert(
+                if counter("pbsm.partition.input_elements") - partitioned < 4000 {
+                    "partition"
+                } else if counter("pbsm.merge.sweep_comparisons") == merged {
+                    "merge"
+                } else {
+                    "refinement sort"
+                },
+            );
+            assert_eq!(footprint(&db), before, "{ctx}: temp files survived");
+            let (free, pinned, mapped) = db.pool().frame_census();
+            assert_eq!(pinned, 0, "{ctx}");
+            assert_eq!(free + mapped, db.pool().num_frames(), "{ctx}");
+            if journal {
+                assert_eq!(db.pool().journal_open_intents(), 0, "{ctx}");
+                let (recovered, state) = Db::recover(db_config, db.into_disk()).unwrap();
+                assert_eq!(state.orphan_files, 0, "{ctx}: recovery reclaimed orphans");
+                // The catalog is volatile: re-register the relations.
+                for meta in &metas {
+                    recovered.catalog_mut().put_relation(meta.clone());
+                }
+                db = recovered;
+            }
+        }
+        assert_eq!(
+            phases.into_iter().collect::<Vec<_>>(),
+            ["merge", "partition", "refinement sort"],
+            "journal={journal}: the sweep must run out of space in every spilling phase"
+        );
+
+        // With the budget lifted the same database still answers correctly.
+        assert_eq!(join_with_headroom(&db, peak).unwrap().pairs, truth);
+    }
 }
 
 #[test]
