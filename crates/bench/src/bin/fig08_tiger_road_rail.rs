@@ -6,7 +6,9 @@
 //! R-tree based join, whose cost is dominated (~85 %) by building the
 //! index on the large Road input.
 
-use pbsm_bench::{compare_algorithms, tiger_db, tiger_spec, verdicts, Algorithm, Report, TigerSet};
+use pbsm_bench::{
+    compare_algorithms, run_join, tiger_db, tiger_spec, verdicts, Algorithm, Report, TigerSet,
+};
 use pbsm_join::JoinConfig;
 
 fn main() {
@@ -45,7 +47,8 @@ fn main() {
                 TigerSet::RoadRail,
                 false,
             );
-            let out = Algorithm::RtreeJoin.run(
+            let out = run_join(
+                Algorithm::RtreeJoin,
                 &db,
                 &tiger_spec(TigerSet::RoadRail),
                 &JoinConfig::for_db(&db),

@@ -6,7 +6,9 @@
 //! PBSM (~79 %) and the R-tree join (~68 %) because the polygon features
 //! are large.
 
-use pbsm_bench::{compare_algorithms, sequoia_db, sequoia_spec, verdicts, Algorithm, Report};
+use pbsm_bench::{
+    compare_algorithms, run_join, sequoia_db, sequoia_spec, verdicts, Algorithm, Report,
+};
 use pbsm_join::JoinConfig;
 
 fn main() {
@@ -22,7 +24,7 @@ fn main() {
             let cs = pbsm_bench::cpu_scale();
             for alg in [Algorithm::Pbsm, Algorithm::RtreeJoin] {
                 let db = sequoia_db(*pbsm_bench::pool_sizes_mb().last().unwrap(), false);
-                let out = alg.run(&db, &sequoia_spec(), &JoinConfig::for_db(&db));
+                let out = run_join(alg, &db, &sequoia_spec(), &JoinConfig::for_db(&db));
                 let refine = out
                     .report
                     .component("refinement step")

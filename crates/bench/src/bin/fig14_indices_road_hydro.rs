@@ -4,14 +4,20 @@
 //! index on the larger input, the R-tree join wins; with an index only on
 //! the smaller input, PBSM wins.
 
-use pbsm_bench::{index_scenarios_figure, pool_sizes_mb, secs, Report, TigerSet};
+use pbsm_bench::{
+    index_scenarios_figure, pool_sizes_mb, secs, tiger_db, tiger_spec, Report, TigerSet,
+};
 
 fn main() {
     Report::run(
         "fig14_indices_road_hydro",
         "Figure 14: pre-existing index scenarios, Road ⋈ Hydrography",
         |report| {
-            let samples = index_scenarios_figure(report, TigerSet::RoadHydro);
+            let samples = index_scenarios_figure(
+                report,
+                &|mb| tiger_db(mb, TigerSet::RoadHydro, false),
+                &tiger_spec(TigerSet::RoadHydro),
+            );
             report.blank();
             let t = |mb: usize, label: &str| {
                 samples

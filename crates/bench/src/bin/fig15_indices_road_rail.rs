@@ -4,14 +4,20 @@
 //! extra finding: with the tiny Rail index, INL-1-SmallIdx beats the
 //! R-tree variants at all pool sizes (the index and data fit in memory).
 
-use pbsm_bench::{index_scenarios_figure, pool_sizes_mb, secs, Report, TigerSet};
+use pbsm_bench::{
+    index_scenarios_figure, pool_sizes_mb, secs, tiger_db, tiger_spec, Report, TigerSet,
+};
 
 fn main() {
     Report::run(
         "fig15_indices_road_rail",
         "Figure 15: pre-existing index scenarios, Road ⋈ Rail",
         |report| {
-            let samples = index_scenarios_figure(report, TigerSet::RoadRail);
+            let samples = index_scenarios_figure(
+                report,
+                &|mb| tiger_db(mb, TigerSet::RoadRail, false),
+                &tiger_spec(TigerSet::RoadRail),
+            );
             report.blank();
             let t = |mb: usize, label: &str| {
                 samples

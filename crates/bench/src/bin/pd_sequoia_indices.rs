@@ -3,55 +3,15 @@
 //! Figure 14". Reproduced: the same six pre-existing-index scenarios on
 //! the Sequoia containment query.
 
-use pbsm_bench::{
-    cpu_scale, outcome_row, pool_sizes_mb, secs, sequoia_db, sequoia_spec, Algorithm, Report,
-    OUTCOME_HEADER,
-};
-use pbsm_join::JoinConfig;
+use pbsm_bench::{index_scenarios_figure, pool_sizes_mb, secs, sequoia_db, sequoia_spec, Report};
 
 fn main() {
     Report::run(
         "pd_sequoia_indices",
         "§4.5 omitted result: pre-existing index scenarios, Sequoia landuse ⋈ islands",
         |report| {
-            let spec = sequoia_spec();
-            let series: [(&str, Algorithm, &[&str]); 6] = [
-                ("PBSM", Algorithm::Pbsm, &[]),
-                (
-                    "Rtree-2-Indices",
-                    Algorithm::RtreeJoin,
-                    &["landuse", "islands"],
-                ),
-                ("Rtree-1-LargeIdx", Algorithm::RtreeJoin, &["landuse"]),
-                ("INL-1-LargeIdx", Algorithm::Inl, &["landuse"]),
-                ("Rtree-1-SmallIdx", Algorithm::RtreeJoin, &["islands"]),
-                ("INL-1-SmallIdx", Algorithm::Inl, &["islands"]),
-            ];
-            let cs = cpu_scale();
-            let mut rows = Vec::new();
-            let mut samples: Vec<(usize, &str, f64)> = Vec::new();
-            let mut result_pairs = None;
-            for pool_mb in pool_sizes_mb() {
-                for (label, alg, prebuilt) in series {
-                    let db = sequoia_db(pool_mb, false);
-                    for rel in prebuilt {
-                        let meta = db.catalog().relation(rel).unwrap().clone();
-                        pbsm_join::loader::build_index(&db, &meta).unwrap();
-                    }
-                    db.pool().clear_cache().unwrap();
-                    let out = alg.run(&db, &spec, &JoinConfig::for_db(&db));
-                    let total = out.report.total_1996(cs);
-                    samples.push((pool_mb, label, total));
-                    rows.push(outcome_row(label, pool_mb, &out));
-                    report.timing(&format!("total_1996.{label}.{pool_mb}mb"), total);
-                    result_pairs.get_or_insert(out.stats.results);
-                }
-            }
-            if let Some(n) = result_pairs {
-                report.metric("result_pairs", n as f64);
-            }
-            report.table(&OUTCOME_HEADER, &rows);
-
+            let samples =
+                index_scenarios_figure(report, &|mb| sequoia_db(mb, false), &sequoia_spec());
             report.blank();
             let t = |mb: usize, label: &str| {
                 samples

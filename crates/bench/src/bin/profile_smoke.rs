@@ -12,7 +12,7 @@
 //! (`HARNESSES` excludes it): nothing here is gated by `bench_compare`;
 //! this is CI's proof that the profile pipeline stays wired end to end.
 
-use pbsm_bench::{save_profiles, tiger_db, tiger_spec, Algorithm, TigerSet};
+use pbsm_bench::{run_join, save_profiles, tiger_db, tiger_spec, Algorithm, TigerSet};
 use pbsm_join::JoinConfig;
 use pbsm_obs::Json;
 
@@ -22,7 +22,7 @@ fn main() {
     let mut failures = 0u32;
     for alg in Algorithm::ALL {
         let db = tiger_db(2, TigerSet::RoadHydro, false);
-        let out = alg.run(&db, &spec, &JoinConfig::for_db(&db));
+        let out = run_join(alg, &db, &spec, &JoinConfig::for_db(&db));
         let Some(p) = &out.profile else {
             eprintln!("profile_smoke: {} attached no profile", alg.name());
             failures += 1;

@@ -8,7 +8,7 @@
 //! 50 % for PBSM and the R-tree join at every pool size; only INL at a
 //! 2 MB pool exceeds it (64.5 %). That is the exact shape checked here.
 
-use pbsm_bench::{cpu_scale, secs, tiger_db, tiger_spec, Algorithm, Report, TigerSet};
+use pbsm_bench::{cpu_scale, run_join, secs, tiger_db, tiger_spec, Algorithm, Report, TigerSet};
 use pbsm_join::JoinConfig;
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
                     .iter()
                     .map(|&mb| {
                         let db = tiger_db(mb, TigerSet::RoadHydro, false);
-                        (mb, alg.run(&db, &spec, &JoinConfig::for_db(&db)))
+                        (mb, run_join(alg, &db, &spec, &JoinConfig::for_db(&db)))
                     })
                     .collect();
                 let component_names: Vec<String> = runs[0]

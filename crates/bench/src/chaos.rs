@@ -27,8 +27,11 @@
 //!
 //! [`StorageError`]: pbsm_storage::StorageError
 
-use crate::{tiger_db, tiger_db_journaled, tiger_spec, Algorithm, Report, TigerSet};
-use pbsm_join::pbsm::pbsm_join_resume;
+use crate::{
+    env_parse, env_var, run_join, tiger_db, tiger_db_journaled, tiger_spec, try_join, Algorithm,
+    Report, TigerSet,
+};
+use pbsm_join::shard::panic_text;
 use pbsm_join::{JoinConfig, JoinSpec};
 use pbsm_storage::{Db, FaultConfig, FaultTally, Oid, StorageError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -74,6 +77,15 @@ impl Verdict {
             Verdict::Broken(_) => "BROKEN",
         }
     }
+
+    /// The sweep tables' "detail" column.
+    pub fn detail(&self, oracle_len: usize) -> String {
+        match self {
+            Verdict::Identical => format!("{oracle_len} pairs"),
+            Verdict::CleanError(msg) | Verdict::Panic(msg) | Verdict::Broken(msg) => msg.clone(),
+            Verdict::Mismatch(want, got) => format!("oracle {want} pairs, got {got}"),
+        }
+    }
 }
 
 /// One `(algorithm, seed)` cell of the sweep.
@@ -117,17 +129,18 @@ pub fn seeds() -> Vec<u64> {
 
 /// Base fault rate from `PBSM_CHAOS_PPM`, or the default.
 pub fn ppm() -> u32 {
-    env_var("PBSM_CHAOS_PPM")
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(DEFAULT_PPM)
+    env_parse("PBSM_CHAOS_PPM", DEFAULT_PPM)
 }
 
-fn env_var(name: &str) -> Option<String> {
-    crate::env()
-        .vars
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v.clone())
+/// Runs `f` with the panic hook silenced and returns a panic as its
+/// payload text: a sweep records a panic as a red table row, not a
+/// backtrace.
+pub fn catch_quietly<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    let prev_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let result = catch_unwind(AssertUnwindSafe(f));
+    std::panic::set_hook(prev_hook);
+    result.map_err(panic_text)
 }
 
 /// Writes the flight-recorder ring to `bench_results/flight_<tag>.txt`.
@@ -162,12 +175,8 @@ fn run_case(alg: Algorithm, seed: u64, ppm: u32, oracle: &[(Oid, Oid)]) -> Chaos
         .disk_mut()
         .set_faults(Some(FaultConfig::chaos(seed, ppm)));
 
-    // The join must never panic; a panic hook would spray a backtrace for
-    // an outcome the harness wants to record as a red table row instead.
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let result = catch_unwind(AssertUnwindSafe(|| alg.try_run(&db, &spec, &config)));
-    std::panic::set_hook(prev_hook);
+    // The join must never panic.
+    let result = catch_quietly(|| try_join(alg, &db, &spec, &config, None));
 
     let faults = db.pool().disk().fault_tally();
     let (verdict, recovery_retries) = match result {
@@ -182,14 +191,7 @@ fn run_case(alg: Algorithm, seed: u64, ppm: u32, oracle: &[(Oid, Oid)]) -> Chaos
             }
         }
         Ok(Err(e)) => (Verdict::CleanError(e.to_string()), 0),
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
-            (Verdict::Panic(msg), 0)
-        }
+        Err(msg) => (Verdict::Panic(msg), 0),
     };
     ChaosCase {
         algorithm: alg,
@@ -217,7 +219,7 @@ pub fn run_sweep(report: &mut Report) -> ChaosSummary {
     for alg in Algorithm::ALL {
         // The oracle: same data, same config, perfect device.
         let db = tiger_db(2, TigerSet::RoadHydro, false);
-        let oracle = alg.run(&db, &spec, &JoinConfig::for_db(&db)).pairs;
+        let oracle = run_join(alg, &db, &spec, &JoinConfig::for_db(&db)).pairs;
         drop(db);
 
         for &seed in &seeds {
@@ -234,14 +236,7 @@ pub fn run_sweep(report: &mut Report) -> ChaosSummary {
                 format!("{}", case.faults.torn_writes),
                 format!("{}", case.faults.enospc),
                 format!("{}", case.recovery_retries),
-                match &case.verdict {
-                    Verdict::CleanError(msg) => msg.clone(),
-                    Verdict::Mismatch(want, got) => {
-                        format!("oracle {want} pairs, got {got}")
-                    }
-                    Verdict::Panic(msg) | Verdict::Broken(msg) => msg.clone(),
-                    Verdict::Identical => format!("{} pairs", oracle.len()),
-                },
+                case.verdict.detail(oracle.len()),
             ]);
             cases.push(case);
         }
@@ -363,14 +358,6 @@ fn crash_config() -> JoinConfig {
     }
 }
 
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| s.to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string())
-}
-
 /// One kill–restart–verify cycle: crash a journaled join at a fixed disk
 /// operation, recover over the surviving disk image, resume (PBSM) or
 /// restart (INL, R-tree), and audit the result against the oracle and the
@@ -403,14 +390,9 @@ fn run_crash_case(
         .disk_mut()
         .set_faults(Some(FaultConfig::crash_at(seed, crash_op)));
 
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let crashed = catch_unwind(AssertUnwindSafe(|| alg.try_run(&db, spec, &config)));
-    std::panic::set_hook(prev_hook);
-
-    match crashed {
-        Err(payload) => {
-            case.verdict = Verdict::Panic(panic_text(payload));
+    match catch_quietly(|| try_join(alg, &db, spec, &config, None)) {
+        Err(msg) => {
+            case.verdict = Verdict::Panic(msg);
             return case;
         }
         Ok(Ok(out)) => {
@@ -445,15 +427,10 @@ fn run_crash_case(
         db.catalog_mut().put_relation(meta.clone());
     }
 
-    let config = crash_config();
-    let resumed = match alg {
-        // PBSM resumes from the journaled checkpoints.
-        Algorithm::Pbsm => pbsm_join_resume(&db, spec, &config, state.join.as_ref()),
-        // INL and the R-tree join restart from scratch: recovery already
-        // reclaimed their half-built (rebuildable) index files.
-        _ => alg.try_run(&db, spec, &config),
-    };
-    let out = match resumed {
+    // PBSM resumes from the journaled checkpoints. INL and the R-tree
+    // join restart from scratch: recovery already reclaimed their
+    // half-built (rebuildable) index files.
+    let out = match try_join(alg, &db, spec, &config, state.join.as_ref()) {
         Ok(out) => out,
         Err(e) => {
             case.verdict = Verdict::Broken(format!("resumed join failed: {e}"));
@@ -510,7 +487,7 @@ pub fn run_crash_sweep(report: &mut Report) -> CrashSummary {
         let db = tiger_db_journaled(2, TigerSet::RoadHydro, crate::scale());
         let config = crash_config();
         let ops_before = db.pool().disk().total_ops();
-        let oracle = alg.run(&db, &spec, &config);
+        let oracle = run_join(alg, &db, &spec, &config);
         let ops_in_join = db.pool().disk().total_ops() - ops_before;
         let baseline = match Db::recover(db.config(), db.into_disk()) {
             Ok((_, s)) => (s.orphan_files, s.orphan_pages),
@@ -538,15 +515,7 @@ pub fn run_crash_sweep(report: &mut Report) -> CrashSummary {
                     format!("{}", case.recovered_pages),
                     format!("{}", case.resumed_pairs),
                     format!("{}", case.resumed_runs),
-                    match &case.verdict {
-                        Verdict::Identical => format!("{} pairs", oracle.pairs.len()),
-                        Verdict::CleanError(msg) | Verdict::Panic(msg) | Verdict::Broken(msg) => {
-                            msg.clone()
-                        }
-                        Verdict::Mismatch(want, got) => {
-                            format!("oracle {want} pairs, got {got}")
-                        }
-                    },
+                    case.verdict.detail(oracle.pairs.len()),
                 ]);
                 cases.push(case);
             }
@@ -644,7 +613,7 @@ mod tests {
         db.pool()
             .disk_mut()
             .set_faults(Some(FaultConfig::crash_at(7, 10)));
-        match Algorithm::Pbsm.try_run(&db, &spec, &config) {
+        match try_join(Algorithm::Pbsm, &db, &spec, &config, None) {
             Err(StorageError::Crashed) => {}
             Ok(_) => panic!("join completed before the crash point"),
             Err(e) => panic!("expected Crashed, got {e}"),

@@ -35,11 +35,14 @@
 
 use pbsm_datagen::sequoia::{self, SequoiaConfig};
 use pbsm_datagen::tiger::{self, TigerConfig};
+use pbsm_geom::lcg::Lcg;
 use pbsm_geom::predicates::SpatialPredicate;
-use pbsm_join::loader::{load_relation, spatial_sort};
-use pbsm_join::{JoinConfig, JoinOutcome, JoinSpec};
-use pbsm_storage::{Db, DbConfig};
+use pbsm_geom::Rect;
+use pbsm_join::loader::{build_index, load_relation, spatial_sort};
+use pbsm_join::{execute, JoinConfig, JoinOutcome, JoinSpec, Outcome, Query};
+use pbsm_storage::{Db, DbConfig, JoinResume, StorageResult};
 use std::fmt::Write as _;
+use std::hash::{Hash, Hasher};
 use std::io::Write as _;
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -51,6 +54,8 @@ pub mod serve;
 pub mod shard;
 pub mod soak;
 pub mod traj;
+
+pub use pbsm_join::Algorithm;
 
 /// Every figure/table harness binary, in the paper's presentation order.
 /// `run_all` and `bench_all` both iterate this list, so adding a harness
@@ -225,55 +230,117 @@ pub fn sequoia_spec() -> JoinSpec {
     JoinSpec::new("landuse", "islands", SpatialPredicate::Contains)
 }
 
-/// The three algorithms of the study.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Algorithm {
-    Pbsm,
-    RtreeJoin,
-    Inl,
+/// Runs one join through [`execute`], surfacing storage errors — the
+/// call the figures and the fault sweeps share. `resume` carries crash
+/// checkpoints and reaches PBSM only.
+pub fn try_join(
+    alg: Algorithm,
+    db: &Db,
+    spec: &JoinSpec,
+    config: &JoinConfig,
+    resume: Option<&JoinResume>,
+) -> StorageResult<JoinOutcome> {
+    let query = Query::Join {
+        alg,
+        spec: spec.clone(),
+    };
+    execute(db, &query, config, resume)
+        .map(|out| out.into_join().expect("a join query answers with pairs"))
 }
 
-impl Algorithm {
-    pub const ALL: [Algorithm; 3] = [Algorithm::Pbsm, Algorithm::RtreeJoin, Algorithm::Inl];
+/// [`try_join`] on a fault-free database, where storage errors are
+/// impossible by construction.
+pub fn run_join(alg: Algorithm, db: &Db, spec: &JoinSpec, config: &JoinConfig) -> JoinOutcome {
+    try_join(alg, db, spec, config, None).expect("join failed on a fault-free database")
+}
 
-    pub fn name(self) -> &'static str {
-        match self {
-            Algorithm::Pbsm => "PBSM Join",
-            Algorithm::RtreeJoin => "R-tree Based Join",
-            Algorithm::Inl => "Idx. Nested Loops",
-        }
+/// One database holding all four relations of the mixed serving
+/// workload — TIGER road + hydrography and Sequoia landuse + islands —
+/// with every index prebuilt and a cold cache. Prebuilt indexes are the
+/// serving contract: snapshots never build one, so everything queryable
+/// is indexed before handles go out (and `execute` reuses them).
+pub fn serving_db(config: DbConfig, scale: f64) -> Db {
+    let db = Db::new(config);
+    let (landuse, islands) = sequoia::generate(&SequoiaConfig {
+        scale,
+        ..SequoiaConfig::default()
+    });
+    let tiger_cfg = TigerConfig::scaled(scale);
+    for (name, tuples) in [
+        ("road", tiger::road(&tiger_cfg)),
+        ("hydrography", tiger::hydrography(&tiger_cfg)),
+        ("landuse", landuse),
+        ("islands", islands),
+    ] {
+        let meta = load_relation(&db, name, &tuples, false).unwrap();
+        build_index(&db, &meta).unwrap();
     }
+    db.pool().clear_cache().unwrap();
+    db
+}
 
-    /// Short stable identifier used in metric/timing keys.
-    pub fn key(self) -> &'static str {
-        match self {
-            Algorithm::Pbsm => "pbsm",
-            Algorithm::RtreeJoin => "rtree",
-            Algorithm::Inl => "inl",
-        }
-    }
+/// The relations of [`serving_db`], in the order selections rotate them.
+pub const SERVING_RELATIONS: [&str; 4] = ["road", "hydrography", "landuse", "islands"];
 
-    /// Runs this algorithm, surfacing storage errors as typed values —
-    /// the entry point the chaos harness drives under fault injection.
-    pub fn try_run(
-        self,
-        db: &Db,
-        spec: &JoinSpec,
-        config: &JoinConfig,
-    ) -> pbsm_storage::StorageResult<JoinOutcome> {
-        match self {
-            Algorithm::Pbsm => pbsm_join::pbsm::pbsm_join(db, spec, config),
-            Algorithm::RtreeJoin => pbsm_join::rtree_join::rtree_join(db, spec, config),
-            Algorithm::Inl => pbsm_join::inl::inl_join(db, spec, config),
-        }
-    }
+/// The seeded mixed query stream that soak, `query_service` and the
+/// concurrent-serving stress test replay: 30% scan selections, 30% index
+/// selections, 20% PBSM, 10% INL and 10% R-tree joins. Selections rotate
+/// the four [`SERVING_RELATIONS`]; joins alternate the TIGER
+/// intersection and the Sequoia containment.
+pub fn query_mix(seed: u64) -> impl Iterator<Item = Query> {
+    let mut rng = Lcg::new(seed);
+    let mut draw = move |n: u64| (rng.next_u64() >> 33) % n;
+    std::iter::from_fn(move || {
+        let roll = draw(10);
+        Some(if roll < 6 {
+            let relation = SERVING_RELATIONS[draw(4) as usize].to_string();
+            let cx = 5.0 + draw(900) as f64 / 10.0;
+            let cy = 5.0 + draw(900) as f64 / 10.0;
+            let half = 1.0 + draw(70) as f64 / 10.0;
+            Query::Select {
+                index: roll >= 3,
+                relation,
+                window: Rect::new(cx - half, cy - half, cx + half, cy + half),
+            }
+        } else {
+            let alg = match roll {
+                6 | 7 => Algorithm::Pbsm,
+                8 => Algorithm::Inl,
+                _ => Algorithm::RtreeJoin,
+            };
+            let spec = if draw(2) == 0 {
+                tiger_spec(TigerSet::RoadHydro)
+            } else {
+                sequoia_spec()
+            };
+            Query::Join { alg, spec }
+        })
+    })
+}
 
-    /// Runs this algorithm on a fault-free database, where storage errors
-    /// are impossible by construction.
-    pub fn run(self, db: &Db, spec: &JoinSpec, config: &JoinConfig) -> JoinOutcome {
-        self.try_run(db, spec, config)
-            .expect("join failed on a fault-free database")
+/// Folds a query's full answer — every OID pair or OID, not a summary —
+/// into `hasher`.
+pub fn hash_answer(out: &Outcome, hasher: &mut impl Hasher) {
+    match out {
+        Outcome::Join(out) => out.pairs.hash(hasher),
+        Outcome::Select(out) => out.oids.hash(hasher),
     }
+}
+
+/// The value of the `PBSM_*` variable `name`, as captured by [`env`].
+pub fn env_var(name: &str) -> Option<&'static str> {
+    env()
+        .vars
+        .iter()
+        .find(|(k, _)| k == name)
+        .map(|(_, v)| v.as_str())
+}
+
+/// [`env_var`] parsed, or `default` when unset or unparseable.
+pub fn env_parse<T: std::str::FromStr>(name: &str, default: T) -> T {
+    env_var(name)
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or(default)
 }
 
 /// Collects harness output, mirrors it to stdout, and saves it under
@@ -563,7 +630,7 @@ pub fn compare_algorithms(
             // algorithm that needs them, and caches start cold.
             let db = mk_db(pool_mb);
             let config = JoinConfig::for_db(&db);
-            let out = alg.run(&db, spec, &config);
+            let out = run_join(alg, &db, spec, &config);
             let total = out.report.total_1996(cs);
             samples.push((pool_mb, alg, total));
             rows.push(outcome_row(alg.name(), pool_mb, &out));
@@ -593,7 +660,7 @@ pub fn breakdown_figure(name: &str, title: &str, alg: Algorithm) {
             let cl = if clustered { "cl" } else { "nc" };
             for pool_mb in pool_sizes_mb() {
                 let db = tiger_db(pool_mb, TigerSet::RoadHydro, clustered);
-                let out = alg.run(&db, &spec, &JoinConfig::for_db(&db));
+                let out = run_join(alg, &db, &spec, &JoinConfig::for_db(&db));
                 report.blank();
                 report.line(&format!(
                     "== {} | {} | {pool_mb} MB pool ==",
@@ -648,28 +715,22 @@ pub fn breakdown_figure(name: &str, title: &str, alg: Algorithm) {
 }
 
 /// The Figure 14/15 experiment: the six pre-existing-index scenarios of
-/// §4.5. Returns `(pool_mb, series, total)` samples.
+/// §4.5 on `spec`, whose left input is the larger one. Returns
+/// `(pool_mb, series, total)` samples.
 pub fn index_scenarios_figure(
     report: &mut Report,
-    set: TigerSet,
+    mk_db: &dyn Fn(usize) -> Db,
+    spec: &JoinSpec,
 ) -> Vec<(usize, &'static str, f64)> {
-    let spec = tiger_spec(set);
-    let small_rel = match set {
-        TigerSet::RoadHydro => "hydrography",
-        TigerSet::RoadRail => "rail",
-    };
+    let (large, small) = (spec.left.as_str(), spec.right.as_str());
     // (series label, algorithm, pre-built indices)
     let series: [(&'static str, Algorithm, &[&str]); 6] = [
         ("PBSM", Algorithm::Pbsm, &[]),
-        (
-            "Rtree-2-Indices",
-            Algorithm::RtreeJoin,
-            &["road", small_rel],
-        ),
-        ("Rtree-1-LargeIdx", Algorithm::RtreeJoin, &["road"]),
-        ("INL-1-LargeIdx", Algorithm::Inl, &["road"]),
-        ("Rtree-1-SmallIdx", Algorithm::RtreeJoin, &[small_rel]),
-        ("INL-1-SmallIdx", Algorithm::Inl, &[small_rel]),
+        ("Rtree-2-Indices", Algorithm::RtreeJoin, &[large, small]),
+        ("Rtree-1-LargeIdx", Algorithm::RtreeJoin, &[large]),
+        ("INL-1-LargeIdx", Algorithm::Inl, &[large]),
+        ("Rtree-1-SmallIdx", Algorithm::RtreeJoin, &[small]),
+        ("INL-1-SmallIdx", Algorithm::Inl, &[small]),
     ];
     let cs = cpu_scale();
     let mut samples = Vec::new();
@@ -677,14 +738,14 @@ pub fn index_scenarios_figure(
     let mut result_pairs = None;
     for pool_mb in pool_sizes_mb() {
         for (label, alg, prebuilt) in series {
-            let db = tiger_db(pool_mb, set, false);
+            let db = mk_db(pool_mb);
             for rel in prebuilt {
                 let meta = db.catalog().relation(rel).unwrap().clone();
-                pbsm_join::loader::build_index(&db, &meta).unwrap();
+                build_index(&db, &meta).unwrap();
             }
             // Pre-existing indices are not charged to the join.
             db.pool().clear_cache().unwrap();
-            let out = alg.run(&db, &spec, &JoinConfig::for_db(&db));
+            let out = run_join(alg, &db, spec, &JoinConfig::for_db(&db));
             let total = out.report.total_1996(cs);
             samples.push((pool_mb, label, total));
             rows.push(outcome_row(label, pool_mb, &out));
@@ -753,6 +814,38 @@ mod tests {
     }
 
     #[test]
+    fn query_mix_stream_is_pinned() {
+        // FNV-1a over the first 200 queries at seed 1996, rendered as
+        // text. Soak, query_service and the stress test replay this
+        // stream, so any drift in it changes their gated output.
+        let mut h: u64 = 0xcbf29ce484222325;
+        for query in query_mix(1996).take(200) {
+            let text = match &query {
+                Query::Select {
+                    index,
+                    relation,
+                    window,
+                } => format!(
+                    "select {index} {relation} {:?} {:?} {:?} {:?}",
+                    window.xl, window.yl, window.xu, window.yu
+                ),
+                Query::Join { alg, spec } => format!(
+                    "join {} {} {} {:?}",
+                    alg.key(),
+                    spec.left,
+                    spec.right,
+                    spec.predicate
+                ),
+            };
+            for b in text.bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x100000001b3);
+            }
+        }
+        assert_eq!(h, 0x1eee2f5d76a2abcf);
+    }
+
+    #[test]
     fn tiny_end_to_end_through_harness_builders() {
         // The workload builders must produce runnable databases at any
         // scale; exercise the whole harness path at 0.2 %. Uses the
@@ -760,7 +853,7 @@ mod tests {
         // other tests in this binary.
         let db = tiger_db_scaled(2, TigerSet::RoadRail, false, 0.002);
         let spec = tiger_spec(TigerSet::RoadRail);
-        let out = Algorithm::Pbsm.run(&db, &spec, &JoinConfig::for_db(&db));
+        let out = run_join(Algorithm::Pbsm, &db, &spec, &JoinConfig::for_db(&db));
         let row = outcome_row("PBSM", 2, &out);
         assert_eq!(row.len(), OUTCOME_HEADER.len());
         assert!(!component_rows(&out).is_empty());

@@ -7,8 +7,9 @@
 //! (window selections, PBSM / INL / R-tree joins), an **oracle pass**
 //! runs every query single-threaded and records a per-query result
 //! digest, then `PBSM_SERVE_THREADS` workers replay the same queries
-//! through [`pbsm_storage::Db::read_snapshot`] handles and the `*_at`
-//! drivers, each digest compared byte-for-byte against the oracle's.
+//! through [`pbsm_storage::Db::read_snapshot`] handles and
+//! [`pbsm_join::execute_at`], each digest compared byte-for-byte against
+//! the oracle's.
 //!
 //! Admission is bounded: a counting semaphore caps queries in flight
 //! (`PBSM_SERVE_INFLIGHT`), the shape a service's request queue imposes;
@@ -26,18 +27,11 @@
 //! interleavings thread-dependent, so nothing here feeds the
 //! deterministic bench-compare gate.
 
-use crate::{scale, sequoia_spec, tiger_spec, Algorithm, TigerSet};
-use pbsm_datagen::tiger::TigerConfig;
-use pbsm_datagen::{sequoia, sequoia::SequoiaConfig, tiger};
-use pbsm_geom::Rect;
-use pbsm_join::inl::inl_join_at;
-use pbsm_join::loader::{build_index, load_relation};
-use pbsm_join::pbsm::pbsm_join_at;
-use pbsm_join::rtree_join::rtree_join_at;
-use pbsm_join::select::{select_index_at, select_scan_at};
-use pbsm_join::{JoinConfig, JoinSpec};
+use crate::{env_parse, env_var, hash_answer, query_mix, scale, serving_db};
+use pbsm_join::telemetry::QueryClass;
+use pbsm_join::{execute_at, JoinConfig, Query};
 use pbsm_obs::{names, Json};
-use pbsm_storage::{Db, DbConfig, ReplacementPolicy, Snapshot};
+use pbsm_storage::{DbConfig, ReplacementPolicy, Snapshot};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::{Condvar, Mutex, PoisonError};
@@ -93,12 +87,7 @@ impl ServeConfig {
             inflight: env_parse("PBSM_SERVE_INFLIGHT", threads.saturating_sub(1)).max(1),
             seed: env_parse("PBSM_SERVE_SEED", d.seed),
             pool_mb: env_parse("PBSM_SERVE_POOL_MB", d.pool_mb).max(1),
-            policy: match crate::env()
-                .vars
-                .iter()
-                .find(|(k, _)| k == "PBSM_SERVE_POLICY")
-                .map(|(_, v)| v.as_str())
-            {
+            policy: match env_var("PBSM_SERVE_POLICY") {
                 Some("lru") => ReplacementPolicy::Lru,
                 _ => ReplacementPolicy::Clock,
             },
@@ -128,172 +117,39 @@ impl ServeConfig {
     }
 }
 
-fn env_parse<T: std::str::FromStr + Copy>(name: &str, default: T) -> T {
-    crate::env()
-        .vars
-        .iter()
-        .find(|(k, _)| k == name)
-        .and_then(|(_, v)| v.parse().ok())
-        .unwrap_or(default)
-}
+/// The query classes in report order.
+const CLASSES: [QueryClass; 5] = [
+    QueryClass::SelectScan,
+    QueryClass::SelectIndex,
+    QueryClass::Pbsm,
+    QueryClass::Inl,
+    QueryClass::Rtree,
+];
 
-/// One pre-generated query of the mixed workload.
-#[derive(Clone)]
-pub enum ServeQuery {
-    Select {
-        index: bool,
-        relation: &'static str,
-        window: Rect,
-    },
-    Join {
-        alg: Algorithm,
-        spec: JoinSpec,
-    },
-}
-
-impl ServeQuery {
-    /// Stable class key — also the suffix of the latency metric name.
-    pub fn class(&self) -> &'static str {
-        match self {
-            ServeQuery::Select { index: false, .. } => "select_scan",
-            ServeQuery::Select { index: true, .. } => "select_index",
-            ServeQuery::Join { alg, .. } => alg.key(),
-        }
+/// The wall-clock latency histogram of a query class.
+fn latency_hist(class: QueryClass) -> &'static str {
+    match class {
+        QueryClass::SelectScan => names::SERVE_LATENCY_SELECT_SCAN,
+        QueryClass::SelectIndex => names::SERVE_LATENCY_SELECT_INDEX,
+        QueryClass::Pbsm => names::SERVE_LATENCY_PBSM,
+        QueryClass::Inl => names::SERVE_LATENCY_INL,
+        QueryClass::Rtree => names::SERVE_LATENCY_RTREE,
     }
-
-    fn latency_hist(&self) -> &'static str {
-        match self {
-            ServeQuery::Select { index: false, .. } => names::SERVE_LATENCY_SELECT_SCAN,
-            ServeQuery::Select { index: true, .. } => names::SERVE_LATENCY_SELECT_INDEX,
-            ServeQuery::Join {
-                alg: Algorithm::Pbsm,
-                ..
-            } => names::SERVE_LATENCY_PBSM,
-            ServeQuery::Join {
-                alg: Algorithm::Inl,
-                ..
-            } => names::SERVE_LATENCY_INL,
-            ServeQuery::Join {
-                alg: Algorithm::RtreeJoin,
-                ..
-            } => names::SERVE_LATENCY_RTREE,
-        }
-    }
-}
-
-/// Splitmix-style generator: tiny, seedable, and stable across runs.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-}
-
-/// One database holding all four relations with pre-built indexes —
-/// the serving contract: snapshots never build indexes, so everything
-/// queryable must be indexed before handles are handed out. Unjournaled:
-/// a read-only serving instance has no intents to log, and the journal
-/// would interleave temp-file records nondeterministically.
-pub fn serve_db(config: &ServeConfig) -> Db {
-    let db = Db::new(DbConfig {
-        replacement: config.policy,
-        ..DbConfig::with_pool_mb(config.pool_mb)
-    });
-    let tiger_cfg = TigerConfig::scaled(config.scale);
-    let sequoia_cfg = SequoiaConfig {
-        scale: config.scale,
-        ..SequoiaConfig::default()
-    };
-    let (landuse, islands) = sequoia::generate(&sequoia_cfg);
-    for (name, tuples) in [
-        ("road", tiger::road(&tiger_cfg)),
-        ("hydrography", tiger::hydrography(&tiger_cfg)),
-        ("landuse", landuse),
-        ("islands", islands),
-    ] {
-        let meta = load_relation(&db, name, &tuples, false).unwrap();
-        build_index(&db, &meta).unwrap();
-    }
-    db.pool().clear_cache().unwrap();
-    db
-}
-
-/// Pre-generates the whole workload: the same mix soak uses — 30% scan
-/// selections, 30% index selections, 20% PBSM, 10% INL, 10% R-tree —
-/// materialized up front so the oracle and every worker replay the
-/// *identical* query list.
-pub fn generate_workload(config: &ServeConfig) -> Vec<ServeQuery> {
-    const RELATIONS: [&str; 4] = ["road", "hydrography", "landuse", "islands"];
-    let mut rng = Lcg(config.seed);
-    (0..config.queries)
-        .map(|_| {
-            let roll = rng.next() % 10;
-            if roll < 6 {
-                let relation = RELATIONS[(rng.next() % 4) as usize];
-                let cx = 5.0 + (rng.next() % 900) as f64 / 10.0;
-                let cy = 5.0 + (rng.next() % 900) as f64 / 10.0;
-                let half = 1.0 + (rng.next() % 70) as f64 / 10.0;
-                ServeQuery::Select {
-                    index: roll >= 3,
-                    relation,
-                    window: Rect::new(cx - half, cy - half, cx + half, cy + half),
-                }
-            } else {
-                let alg = match roll {
-                    6 | 7 => Algorithm::Pbsm,
-                    8 => Algorithm::Inl,
-                    _ => Algorithm::RtreeJoin,
-                };
-                let spec = if rng.next().is_multiple_of(2) {
-                    tiger_spec(TigerSet::RoadHydro)
-                } else {
-                    sequoia_spec()
-                };
-                ServeQuery::Join { alg, spec }
-            }
-        })
-        .collect()
 }
 
 /// Executes one query against a snapshot and digests its full result —
 /// every OID / OID pair, not a summary — so the concurrent-vs-oracle
 /// comparison is byte-exact. Both the oracle and the workers call this
 /// same function, so any divergence is the pool's, not the harness's.
-pub fn execute_at(
+fn digest(
     snap: Snapshot<'_>,
     join_config: &JoinConfig,
-    query: &ServeQuery,
+    query: &Query,
 ) -> pbsm_storage::StorageResult<u64> {
     // DefaultHasher with fixed keys is deterministic for identical byte
     // streams — the soak checksum relies on the same property.
     let mut hasher = DefaultHasher::new();
-    match query {
-        ServeQuery::Select {
-            index,
-            relation,
-            window,
-        } => {
-            let outcome = if *index {
-                select_index_at(snap, relation, window)?
-            } else {
-                select_scan_at(snap, relation, window)?
-            };
-            outcome.oids.hash(&mut hasher);
-        }
-        ServeQuery::Join { alg, spec } => {
-            let outcome = match alg {
-                Algorithm::Pbsm => pbsm_join_at(snap, spec, join_config)?,
-                Algorithm::Inl => inl_join_at(snap, spec, join_config)?,
-                Algorithm::RtreeJoin => rtree_join_at(snap, spec, join_config)?,
-            };
-            outcome.pairs.hash(&mut hasher);
-        }
-    }
+    hash_answer(&execute_at(snap, query, join_config, None)?, &mut hasher);
     Ok(hasher.finish())
 }
 
@@ -354,16 +210,27 @@ pub struct ServeOutcome {
 pub fn run_serve(config: &ServeConfig) -> ServeOutcome {
     pbsm_obs::reset();
     let t0 = Instant::now();
-    let db = serve_db(config);
+    // Unjournaled: a read-only serving instance has no intents to log,
+    // and the journal would interleave temp-file records
+    // nondeterministically.
+    let db = serving_db(
+        DbConfig {
+            replacement: config.policy,
+            ..DbConfig::with_pool_mb(config.pool_mb)
+        },
+        config.scale,
+    );
     let join_config = JoinConfig::for_db(&db);
-    let workload = generate_workload(config);
+    // Materialized up front so the oracle and every worker replay the
+    // identical query list.
+    let workload: Vec<Query> = query_mix(config.seed).take(config.queries).collect();
 
     // Oracle pass: single-threaded, in workload order, on the main
     // thread. Also warms nothing permanently — the cache is cleared
     // after, so workers start as cold as the oracle did.
     let oracle: Vec<u64> = workload
         .iter()
-        .map(|q| execute_at(db.read_snapshot(), &join_config, q).expect("oracle query failed"))
+        .map(|q| digest(db.read_snapshot(), &join_config, q).expect("oracle query failed"))
         .collect();
     let mut checksum = DefaultHasher::new();
     oracle.hash(&mut checksum);
@@ -394,11 +261,11 @@ pub fn run_serve(config: &ServeConfig) -> ServeOutcome {
                             pbsm_obs::counter(names::SERVE_ADMISSION_WAITS).incr();
                         }
                         let q0 = Instant::now();
-                        let digest = execute_at(snap, join_config, query);
+                        let answer = digest(snap, join_config, query);
                         let lat_ns = q0.elapsed().as_nanos() as u64;
                         admission.release();
-                        pbsm_obs::histogram(query.latency_hist()).record(lat_ns);
-                        if digest.ok() == Some(oracle[i]) {
+                        pbsm_obs::histogram(latency_hist(query.class())).record(lat_ns);
+                        if answer.ok() == Some(oracle[i]) {
                             pbsm_obs::counter(names::SERVE_QUERIES_OK).incr();
                         } else {
                             bad += 1;
@@ -424,13 +291,10 @@ pub fn run_serve(config: &ServeConfig) -> ServeOutcome {
 
     // Per-class counts come from the workload itself — deterministic by
     // construction, independent of scheduling.
-    let classes = ["select_scan", "select_index", "pbsm", "inl", "rtree"];
-    let counts: Vec<(String, Json)> = classes
+    let count = |class| workload.iter().filter(|q| q.class() == class).count();
+    let counts: Vec<(String, Json)> = CLASSES
         .iter()
-        .map(|c| {
-            let n = workload.iter().filter(|q| q.class() == *c).count();
-            (c.to_string(), Json::uint(n as u64))
-        })
+        .map(|&c| (c.key().to_string(), Json::uint(count(c) as u64)))
         .collect();
 
     let gated = Json::Obj(vec![
@@ -445,15 +309,14 @@ pub fn run_serve(config: &ServeConfig) -> ServeOutcome {
 
     let wall_s = t0.elapsed().as_secs_f64();
     let latency = Json::Obj(
-        classes
+        CLASSES
             .iter()
-            .map(|c| {
-                let hist = format!("serve.latency_ns.{c}");
-                let entries = pbsm_obs::histogram_entries(&hist);
+            .map(|&c| {
+                let entries = pbsm_obs::histogram_entries(latency_hist(c));
                 let count: u64 = entries.iter().map(|&(_, n)| n).sum();
                 let q = |x| pbsm_obs::timeseries::hist_quantile(&entries, x);
                 (
-                    c.to_string(),
+                    c.key().to_string(),
                     Json::Obj(vec![
                         ("count".into(), Json::uint(count)),
                         ("p50_ns".into(), Json::uint(q(0.5))),
@@ -485,9 +348,8 @@ pub fn run_serve(config: &ServeConfig) -> ServeOutcome {
         "== query_service: {} queries x {} threads (inflight {}), {} mismatches, wall {:.1}s ==\n",
         config.queries, config.threads, config.inflight, mismatches, wall_s
     );
-    for c in classes {
-        let n = workload.iter().filter(|q| q.class() == c).count();
-        summary.push_str(&format!("  {c:<13} {n:>6} queries\n"));
+    for c in CLASSES {
+        summary.push_str(&format!("  {:<13} {:>6} queries\n", c.key(), count(c)));
     }
     summary.push_str(if mismatches == 0 {
         "verdict: all digests byte-identical to oracle\n"
@@ -564,16 +426,21 @@ mod tests {
             queries: 200,
             ..tiny()
         };
-        let a = generate_workload(&cfg);
-        let b = generate_workload(&cfg);
+        let a: Vec<Query> = query_mix(cfg.seed).take(cfg.queries).collect();
+        let b: Vec<Query> = query_mix(cfg.seed).take(cfg.queries).collect();
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.class(), y.class());
         }
-        for class in ["select_scan", "select_index", "pbsm"] {
+        for class in [
+            QueryClass::SelectScan,
+            QueryClass::SelectIndex,
+            QueryClass::Pbsm,
+        ] {
             assert!(
                 a.iter().any(|q| q.class() == class),
-                "mix must contain {class}"
+                "mix must contain {}",
+                class.key()
             );
         }
     }

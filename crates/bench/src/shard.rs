@@ -23,19 +23,14 @@
 //! seed, shard), `PBSM_CHAOS_SEEDS` shared with the chaos harness, and
 //! `PBSM_SCALE` as everywhere.
 
-use crate::chaos::{self, dump_flight, Verdict};
-use crate::Report;
+use crate::chaos::{self, catch_quietly, dump_flight, Verdict};
+use crate::{env_var, Report};
 use pbsm_datagen::tiger::{self, TigerConfig};
 use pbsm_geom::predicates::SpatialPredicate;
-use pbsm_geom::Rect;
-use pbsm_join::loader::{extract_entries, load_relation};
-use pbsm_join::pbsm::pbsm_join;
-use pbsm_join::{
-    JoinConfig, JoinSpec, ShardAlgorithm, ShardedDb, ShardedDbConfig, ShardedJoinOutcome,
-};
+use pbsm_join::shard::{universe_of, unsharded_join_keys};
+use pbsm_join::{Algorithm, JoinConfig, JoinSpec, ShardedDb, ShardedDbConfig, ShardedJoinOutcome};
 use pbsm_storage::tuple::SpatialTuple;
-use pbsm_storage::{Db, DbConfig, FaultConfig, TelemetryBaseline};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use pbsm_storage::{Db, FaultConfig, TelemetryBaseline};
 use std::time::Instant;
 
 /// Shard count of the crash sweep, from `PBSM_SHARD_COUNT`.
@@ -53,14 +48,6 @@ pub fn crash_points() -> usize {
         .and_then(|v| v.trim().parse().ok())
         .filter(|&p| p >= 1)
         .unwrap_or(3)
-}
-
-fn env_var(name: &str) -> Option<String> {
-    crate::env()
-        .vars
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v.clone())
 }
 
 /// Same join configuration as the unsharded crash sweep: a small fixed
@@ -86,40 +73,10 @@ fn workload() -> (Vec<SpatialTuple>, Vec<SpatialTuple>, JoinSpec) {
     (road, hydro, spec)
 }
 
-fn universe_of(sets: &[&[SpatialTuple]]) -> Rect {
-    sets.iter()
-        .flat_map(|s| s.iter())
-        .fold(Rect::empty(), |acc, t| acc.union(&t.geom.mbr()))
-}
-
-/// The unsharded single-engine oracle, as global `(left key, right key)`
-/// pairs — the exact answer every sharded configuration must merge to.
+/// The unsharded single-engine oracle every sharded configuration must
+/// merge to.
 fn oracle_keys(left: &[SpatialTuple], right: &[SpatialTuple], spec: &JoinSpec) -> Vec<(u64, u64)> {
-    let db = Db::new(DbConfig {
-        journal: true,
-        ..DbConfig::with_pool_mb(2)
-    });
-    let lm = load_relation(&db, &spec.left, left, false).expect("oracle load");
-    let rm = load_relation(&db, &spec.right, right, false).expect("oracle load");
-    let out = pbsm_join(&db, spec, &shard_config()).expect("oracle join");
-    // Heap scan order is insertion order: zip OIDs back to global keys.
-    let key_map = |meta, tuples: &[SpatialTuple]| -> std::collections::BTreeMap<u64, u64> {
-        extract_entries(&db, meta)
-            .expect("oracle entries")
-            .iter()
-            .zip(tuples)
-            .map(|((_, oid), t)| (oid.raw(), t.key))
-            .collect()
-    };
-    let lmap = key_map(&lm, left);
-    let rmap = key_map(&rm, right);
-    let mut pairs: Vec<(u64, u64)> = out
-        .pairs
-        .iter()
-        .map(|(a, b)| (lmap[&a.raw()], rmap[&b.raw()]))
-        .collect();
-    pairs.sort_unstable();
-    pairs
+    unsharded_join_keys(left, right, spec, &shard_config()).expect("oracle join")
 }
 
 /// FNV-1a over the sorted pair list — the byte-identity witness recorded
@@ -184,7 +141,7 @@ pub fn run_shard_bench(report: &mut Report) -> bool {
         let mut sdb = build_sharded(k, &left, &right);
         let (input, copies) = sdb.replication();
         report.metric(&format!("shard.k{k}.replicas"), copies as f64);
-        for alg in ShardAlgorithm::ALL {
+        for alg in Algorithm::ALL {
             let t0 = Instant::now();
             let out = match sdb.join(alg, &spec, &shard_config()) {
                 Ok(out) => out,
@@ -238,7 +195,7 @@ pub fn run_shard_bench(report: &mut Report) -> bool {
 
 /// One (algorithm, seed, crash-point, crashed-shard) cell of the sweep.
 pub struct ShardCrashCase {
-    pub alg: ShardAlgorithm,
+    pub alg: Algorithm,
     pub seed: u64,
     pub victim: usize,
     pub crash_op: u64,
@@ -343,7 +300,7 @@ fn audit_shards(
 /// fixed disk operation, one coordinator join that must contain it.
 #[allow(clippy::too_many_arguments)]
 fn run_shard_crash_case(
-    alg: ShardAlgorithm,
+    alg: Algorithm,
     seed: u64,
     victim: usize,
     crash_op: u64,
@@ -379,24 +336,12 @@ fn run_shard_crash_case(
     }
 
     // The coordinator must contain the crash itself — the harness only
-    // suppresses the panic hook so a contained abort does not spray a
+    // silences the panic hook so a contained abort does not spray a
     // backtrace into the report.
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let joined = catch_unwind(AssertUnwindSafe(|| {
-        sdb.join(alg, spec, &shard_config()).map(|out| (sdb, out))
-    }));
-    std::panic::set_hook(prev_hook);
-
+    let joined = catch_quietly(|| sdb.join(alg, spec, &shard_config()).map(|out| (sdb, out)));
     let (sdb, out): (ShardedDb, ShardedJoinOutcome) = match joined {
-        Err(payload) => {
-            case.verdict = Verdict::Panic(
-                payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string()),
-            );
+        Err(msg) => {
+            case.verdict = Verdict::Panic(msg);
             return case;
         }
         Ok(Err(e)) => {
@@ -439,7 +384,7 @@ pub fn run_shard_crash_sweep(report: &mut Report) -> ShardCrashSummary {
 
     let mut cases = Vec::new();
     let mut rows = Vec::new();
-    for alg in ShardAlgorithm::ALL {
+    for alg in Algorithm::ALL {
         // Probe: the same deterministic build, fault-free. Yields each
         // shard's disk-operation window (to aim the crash points) and the
         // residue a clean query leaves per shard (the rebuildable index
@@ -507,15 +452,7 @@ pub fn run_shard_crash_sweep(report: &mut Report) -> ShardCrashSummary {
                         if case.contained { "yes" } else { "-" }.to_string(),
                         format!("{}", case.resumed_pairs),
                         format!("{}", case.resumed_runs),
-                        match &case.verdict {
-                            Verdict::Identical => format!("{} pairs", oracle.len()),
-                            Verdict::CleanError(m) | Verdict::Panic(m) | Verdict::Broken(m) => {
-                                m.clone()
-                            }
-                            Verdict::Mismatch(want, got) => {
-                                format!("oracle {want} pairs, got {got}")
-                            }
-                        },
+                        case.verdict.detail(oracle.len()),
                     ]);
                     cases.push(case);
                 }

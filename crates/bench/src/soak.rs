@@ -22,20 +22,20 @@
 //! over the per-query-class latency histograms. Any breach makes
 //! `bin/soak` exit nonzero.
 
-use crate::{scale, sequoia_spec, tiger_spec, Algorithm, TigerSet};
-use pbsm_datagen::tiger::TigerConfig;
-use pbsm_datagen::{sequoia, sequoia::SequoiaConfig, tiger};
+use crate::{
+    env_parse, hash_answer, query_mix, scale, sequoia_spec, serving_db, tiger_spec, Algorithm,
+    TigerSet, SERVING_RELATIONS,
+};
 use pbsm_geom::Rect;
-use pbsm_join::loader::{build_index, load_relation};
-use pbsm_join::select::{select_index, select_scan};
 use pbsm_join::telemetry::QueryClass;
-use pbsm_join::{JoinConfig, JoinSpec};
+use pbsm_join::{execute, JoinConfig, Query};
 use pbsm_obs::names;
 use pbsm_obs::timeseries::{
     self, check_slo, LeakSentinel, Sample, SamplerConfig, SloCheck, SloSpec, Verdict,
 };
 use pbsm_obs::Json;
-use pbsm_storage::{Db, DbConfig, FaultConfig, TelemetryBaseline};
+use pbsm_storage::{DbConfig, FaultConfig, TelemetryBaseline};
+use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::time::Instant;
 
@@ -133,15 +133,6 @@ impl SoakConfig {
     }
 }
 
-fn env_parse<T: std::str::FromStr + Copy>(name: &str, default: T) -> T {
-    crate::env()
-        .vars
-        .iter()
-        .find(|(k, _)| k == name)
-        .and_then(|(_, v)| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// What one soak run produced. `gated` renders byte-identically for
 /// identical configs; `dashboard` and the sentinel lists feed `soak.txt`.
 pub struct SoakOutcome {
@@ -163,95 +154,6 @@ pub struct SoakOutcome {
     pub wall_s: f64,
 }
 
-/// Splitmix-style generator: tiny, seedable, and stable across runs.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-}
-
-/// One database holding all four relations — TIGER road + hydrography
-/// and Sequoia landuse + islands — with committed heaps, pre-built
-/// indexes on every relation (selections probe them, joins reuse them),
-/// and the intent journal on.
-pub fn soak_db(config: &SoakConfig) -> Db {
-    let db = Db::new(DbConfig {
-        journal: true,
-        ..DbConfig::with_pool_mb(config.pool_mb)
-    });
-    let tiger_cfg = TigerConfig::scaled(config.scale);
-    let sequoia_cfg = SequoiaConfig {
-        scale: config.scale,
-        ..SequoiaConfig::default()
-    };
-    let (landuse, islands) = sequoia::generate(&sequoia_cfg);
-    for (name, tuples) in [
-        ("road", tiger::road(&tiger_cfg)),
-        ("hydrography", tiger::hydrography(&tiger_cfg)),
-        ("landuse", landuse),
-        ("islands", islands),
-    ] {
-        let meta = load_relation(&db, name, &tuples, false).unwrap();
-        build_index(&db, &meta).unwrap();
-    }
-    db.pool().clear_cache().unwrap();
-    db
-}
-
-enum Query {
-    Select {
-        index: bool,
-        relation: &'static str,
-        window: Rect,
-    },
-    Join {
-        alg: Algorithm,
-        spec: JoinSpec,
-    },
-}
-
-/// The fixed mix: 30% scan selections, 30% index selections, 20% PBSM,
-/// 10% INL, 10% R-tree joins; joins alternate the TIGER intersection
-/// and the Sequoia containment, selections rotate all four relations.
-fn next_query(rng: &mut Lcg) -> Query {
-    const RELATIONS: [&str; 4] = ["road", "hydrography", "landuse", "islands"];
-    let roll = rng.next() % 10;
-    if roll < 6 {
-        let relation = RELATIONS[(rng.next() % 4) as usize];
-        let cx = 5.0 + (rng.next() % 900) as f64 / 10.0;
-        let cy = 5.0 + (rng.next() % 900) as f64 / 10.0;
-        let half = 1.0 + (rng.next() % 70) as f64 / 10.0;
-        Query::Select {
-            index: roll >= 3,
-            relation,
-            window: Rect::new(cx - half, cy - half, cx + half, cy + half),
-        }
-    } else {
-        let alg = match roll {
-            6 | 7 => Algorithm::Pbsm,
-            8 => Algorithm::Inl,
-            _ => Algorithm::RtreeJoin,
-        };
-        let spec = if rng.next().is_multiple_of(2) {
-            tiger_spec(TigerSet::RoadHydro)
-        } else {
-            sequoia_spec()
-        };
-        Query::Join { alg, spec }
-    }
-}
-
-/// Folds a query's results into the running determinism checksum.
-fn fold<T: Hash>(hasher: &mut std::collections::hash_map::DefaultHasher, value: &T) {
-    value.hash(hasher);
-}
-
 /// Runs the full soak: build, warm up, baseline, query loop (with the
 /// optional fault phase), then sentinel evaluation. Resets the metric
 /// registry first, so a process can run several soaks back to back and
@@ -259,10 +161,21 @@ fn fold<T: Hash>(hasher: &mut std::collections::hash_map::DefaultHasher, value: 
 pub fn run_soak(config: &SoakConfig) -> SoakOutcome {
     pbsm_obs::reset();
     let t0 = Instant::now();
-    let db = soak_db(config);
+    // Journaled: the open-intents leak sentinel watches the journal.
+    let db = serving_db(
+        DbConfig {
+            journal: true,
+            ..DbConfig::with_pool_mb(config.pool_mb)
+        },
+        config.scale,
+    );
     let join_config = JoinConfig::for_db(&db);
-    let mut rng = Lcg(config.seed);
-    let mut checksum = std::collections::hash_map::DefaultHasher::new();
+    let mut mix = query_mix(config.seed);
+    let mut checksum = DefaultHasher::new();
+    // Runs one query and folds its full answer into the checksum.
+    let run = |query: &Query, checksum: &mut DefaultHasher| {
+        execute(&db, query, &join_config, None).map(|out| hash_answer(&out, checksum))
+    };
 
     // Warm-up, part 1 — deterministic coverage preamble: a full-window
     // scan and index probe of every relation plus one join per
@@ -272,14 +185,12 @@ pub fn run_soak(config: &SoakConfig) -> SoakOutcome {
     // not a leak, and must not read as one when the working set is
     // smaller than the pool).
     let universe = Rect::new(0.0, 0.0, 100.0, 100.0);
-    for rel in ["road", "hydrography", "landuse", "islands"] {
+    for rel in SERVING_RELATIONS {
         for index in [false, true] {
-            let _ = execute(
-                &db,
-                &join_config,
-                Query::Select {
+            let _ = run(
+                &Query::Select {
                     index,
-                    relation: rel,
+                    relation: rel.to_string(),
                     window: universe,
                 },
                 &mut checksum,
@@ -288,13 +199,13 @@ pub fn run_soak(config: &SoakConfig) -> SoakOutcome {
     }
     for alg in Algorithm::ALL {
         for spec in [tiger_spec(TigerSet::RoadHydro), sequoia_spec()] {
-            let _ = execute(&db, &join_config, Query::Join { alg, spec }, &mut checksum);
+            let _ = run(&Query::Join { alg, spec }, &mut checksum);
         }
     }
     // Warm-up, part 2: unsampled queries from the same generator, so
     // the mixed workload's own transients settle too.
-    for _ in 0..config.warmup {
-        let _ = execute(&db, &join_config, next_query(&mut rng), &mut checksum);
+    for query in mix.by_ref().take(config.warmup as usize) {
+        let _ = run(&query, &mut checksum);
     }
     let baseline = db.telemetry_baseline();
     timeseries::configure(SamplerConfig {
@@ -309,7 +220,7 @@ pub fn run_soak(config: &SoakConfig) -> SoakOutcome {
     let fault_from = config.queries * 2 / 5;
     let fault_to = config.queries * 3 / 5;
     let mut failures = 0u64;
-    for i in 0..config.queries {
+    for (i, query) in (0..config.queries).zip(mix) {
         if config.faults && i == fault_from {
             db.pool()
                 .disk_mut()
@@ -325,13 +236,13 @@ pub fn run_soak(config: &SoakConfig) -> SoakOutcome {
         if faulted {
             pbsm_obs::counter(names::SOAK_QUERIES_FAULTED).incr();
         }
-        match execute(&db, &join_config, next_query(&mut rng), &mut checksum) {
+        match run(&query, &mut checksum) {
             Ok(()) => pbsm_obs::counter(names::SOAK_QUERIES_OK).incr(),
             Err(e) => {
                 // Clean typed errors are acceptable under faults; the
                 // query simply doesn't tick.
                 failures += 1;
-                fold(&mut checksum, &format!("{e:?}"));
+                format!("{e:?}").hash(&mut checksum);
                 pbsm_obs::counter(names::SOAK_QUERIES_FAILED).incr();
             }
         }
@@ -361,33 +272,6 @@ pub fn run_soak(config: &SoakConfig) -> SoakOutcome {
         dashboard,
         wall_s: t0.elapsed().as_secs_f64(),
     }
-}
-
-fn execute(
-    db: &Db,
-    join_config: &JoinConfig,
-    query: Query,
-    checksum: &mut std::collections::hash_map::DefaultHasher,
-) -> pbsm_storage::StorageResult<()> {
-    match query {
-        Query::Select {
-            index,
-            relation,
-            window,
-        } => {
-            let outcome = if index {
-                select_index(db, relation, &window)?
-            } else {
-                select_scan(db, relation, &window)?
-            };
-            fold(checksum, &outcome.oids);
-        }
-        Query::Join { alg, spec } => {
-            let outcome = alg.try_run(db, &spec, join_config)?;
-            fold(checksum, &outcome.pairs);
-        }
-    }
-    Ok(())
 }
 
 /// Gauge level of `name` in one sample (sparse: absent means 0).

@@ -3,7 +3,9 @@
 //! regression contracts the leak sentinels depend on.
 
 use pbsm_bench::soak::{run_soak, SoakConfig};
-use pbsm_bench::{tiger_db_journaled, tiger_db_scaled, tiger_spec, Algorithm, TigerSet};
+use pbsm_bench::{
+    run_join, tiger_db_journaled, tiger_db_scaled, tiger_spec, try_join, Algorithm, TigerSet,
+};
 use pbsm_join::JoinConfig;
 use pbsm_obs::names;
 use pbsm_storage::FaultConfig;
@@ -101,7 +103,7 @@ fn gauges_drop_to_zero_when_the_db_drops() {
     pbsm_obs::reset();
     let db = tiger_db_journaled(2, TigerSet::RoadHydro, 0.002);
     let spec = tiger_spec(TigerSet::RoadHydro);
-    let _ = Algorithm::Pbsm.run(&db, &spec, &JoinConfig::for_db(&db));
+    let _ = run_join(Algorithm::Pbsm, &db, &spec, &JoinConfig::for_db(&db));
     assert!(
         gauge(names::DISK_LIVE_PAGES) > 0,
         "a loaded database must report live pages"
@@ -129,7 +131,7 @@ fn gauges_return_to_baseline_after_recovered_enospc_join() {
             enospc_ppm: 6000,
             ..FaultConfig::default()
         }));
-        let result = Algorithm::Pbsm.try_run(&db, &spec, &config);
+        let result = try_join(Algorithm::Pbsm, &db, &spec, &config, None);
         db.pool().disk_mut().set_faults(None);
         if let Ok(out) = &result {
             if out.stats.recovery_retries > 0 {

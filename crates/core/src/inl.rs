@@ -16,9 +16,10 @@ use crate::loader::ensure_index;
 use crate::refine::matches;
 use crate::{JoinConfig, JoinOutcome, JoinSpec, JoinStats};
 use pbsm_rtree::query::window_query;
+use pbsm_storage::catalog::{Catalog, RelationMeta};
 use pbsm_storage::heap::HeapFile;
 use pbsm_storage::tuple::SpatialTuple;
-use pbsm_storage::{Db, Oid, Snapshot, StorageResult};
+use pbsm_storage::{Db, Oid, StorageResult};
 
 /// Runs the indexed nested loops join.
 pub fn inl_join(db: &Db, spec: &JoinSpec, config: &JoinConfig) -> StorageResult<JoinOutcome> {
@@ -33,20 +34,7 @@ pub fn inl_join(db: &Db, spec: &JoinSpec, config: &JoinConfig) -> StorageResult<
     let mut tracker = CostTracker::new();
     let mut stats = JoinStats::default();
 
-    // Pick the indexed side per §4.1/§4.5.
-    let (left_idx, right_idx) = {
-        let cat = db.catalog();
-        (
-            cat.index(&left.name).is_some(),
-            cat.index(&right.name).is_some(),
-        )
-    };
-    let index_on_left = match (left_idx, right_idx) {
-        (true, false) => true,
-        (false, true) => false,
-        // Both or neither: index side = smaller input.
-        _ => left.cardinality <= right.cardinality,
-    };
+    let index_on_left = index_side(&db.catalog(), &left, &right);
     let (indexed, probing) = if index_on_left {
         (&left, &right)
     } else {
@@ -123,43 +111,18 @@ pub fn inl_join(db: &Db, spec: &JoinSpec, config: &JoinConfig) -> StorageResult<
     })
 }
 
-/// [`inl_join`] against a read snapshot — the serving-thread entry
-/// point. Replicates the §4.1/§4.5 index-side pick, then *requires* the
-/// chosen side's index to pre-exist: building one would write the
-/// catalog and race identical builds on sibling threads, so serving
-/// setups must `build_index` before handing out snapshots. A missing
-/// index surfaces as the same typed error [`select_index`]
-/// (`crate::select::select_index`) uses.
-pub fn inl_join_at(
-    snap: Snapshot<'_>,
-    spec: &JoinSpec,
-    config: &JoinConfig,
-) -> StorageResult<JoinOutcome> {
-    {
-        let cat = snap.catalog();
-        let left = cat.relation(&spec.left)?;
-        let right = cat.relation(&spec.right)?;
-        let (left_idx, right_idx) = (
-            cat.index(&left.name).is_some(),
-            cat.index(&right.name).is_some(),
-        );
-        let index_on_left = match (left_idx, right_idx) {
-            (true, false) => true,
-            (false, true) => false,
-            _ => left.cardinality <= right.cardinality,
-        };
-        let (chosen, has) = if index_on_left {
-            (&left.name, left_idx)
-        } else {
-            (&right.name, right_idx)
-        };
-        if !has {
-            return Err(pbsm_storage::StorageError::UnknownRelation(format!(
-                "{chosen} (index)"
-            )));
-        }
+/// The §4.1/§4.5 index-side pick: the input that carries the only
+/// existing index, the smaller input when both or neither have one.
+/// `true` when the index side is the left input.
+pub(crate) fn index_side(cat: &Catalog, left: &RelationMeta, right: &RelationMeta) -> bool {
+    match (
+        cat.index(&left.name).is_some(),
+        cat.index(&right.name).is_some(),
+    ) {
+        (true, false) => true,
+        (false, true) => false,
+        _ => left.cardinality <= right.cardinality,
     }
-    inl_join(snap.db(), spec, config)
 }
 
 #[cfg(test)]

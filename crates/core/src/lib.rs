@@ -22,6 +22,9 @@
 //!   §4.2.
 //! * [`pbsm`] — the PBSM driver; [`inl`] — indexed nested loops (§4.1);
 //!   [`rtree_join`] — the BKS93-based competitor (§4.2).
+//! * [`query`] — the plan and the query as data ([`Algorithm`],
+//!   [`Query`]) and the one executor pair, [`execute`] over a `Db` and
+//!   [`execute_at`] over a serving snapshot.
 //! * [`partition`] — the spatial partitioning function and its design
 //!   space (number of tiles, round-robin vs hash tile→partition maps) for
 //!   the Figure 4–6 experiments.
@@ -43,6 +46,7 @@ pub mod loader;
 pub mod partition;
 pub mod pbsm;
 pub mod profile;
+pub mod query;
 pub mod recover;
 pub mod refine;
 pub mod rtree_join;
@@ -58,11 +62,14 @@ pub use keyptr::KeyPointer;
 pub use loader::load_relation;
 pub use partition::{TileGrid, TileMapScheme};
 pub use profile::{build_join_profile, drift_model};
+pub use query::{execute, execute_at, Algorithm, Outcome, Query};
 pub use recover::{join_fingerprint, RecoveryPolicy};
 pub use shard::{
-    ShardAlgorithm, ShardError, ShardRetryPolicy, ShardStats, ShardedDb, ShardedDbConfig,
-    ShardedJoinOutcome,
+    ShardError, ShardRetryPolicy, ShardStats, ShardedDb, ShardedDbConfig, ShardedJoinOutcome,
 };
+// The benchmark package under `pbsmbench/` names `ShardAlgorithm::Pbsm`
+// and is kept byte-stable across library changes, so the old name stays.
+pub use query::Algorithm as ShardAlgorithm;
 
 use pbsm_geom::predicates::{RefineOptions, SpatialPredicate};
 use pbsm_storage::Oid;

@@ -14,7 +14,7 @@ use pbsm_storage::catalog::RelationMeta;
 use pbsm_storage::extsort::SortCheckpoint;
 use pbsm_storage::journal::{JoinResume, JournalRecord};
 use pbsm_storage::record::RecordFile;
-use pbsm_storage::{Db, Snapshot, StorageError, StorageResult};
+use pbsm_storage::{Db, StorageError, StorageResult};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Runs the Partition Based Spatial-Merge join.
@@ -27,19 +27,6 @@ use std::collections::{BTreeMap, BTreeSet};
 /// other error, and `DiskFull` past the budget, surfaces unchanged.
 pub fn pbsm_join(db: &Db, spec: &JoinSpec, config: &JoinConfig) -> StorageResult<JoinOutcome> {
     pbsm_join_resume(db, spec, config, None)
-}
-
-/// [`pbsm_join`] against a read snapshot — the serving-thread entry
-/// point. PBSM reads the catalog, never writes it; its partition and
-/// candidate temp files are private to the running query, so concurrent
-/// joins over the shared pool do not interact. Never resumes from
-/// checkpoints (serving instances run unjournaled).
-pub fn pbsm_join_at(
-    snap: Snapshot<'_>,
-    spec: &JoinSpec,
-    config: &JoinConfig,
-) -> StorageResult<JoinOutcome> {
-    pbsm_join_resume(snap.db(), spec, config, None)
 }
 
 /// [`pbsm_join`], optionally resuming from crash checkpoints surfaced by

@@ -19,7 +19,7 @@ use crate::refine::refinement_step;
 use crate::{JoinConfig, JoinOutcome, JoinSpec, JoinStats};
 use pbsm_rtree::join::rtree_join as bks93_join;
 use pbsm_storage::record::RecordFile;
-use pbsm_storage::{Db, Snapshot, StorageResult};
+use pbsm_storage::{Db, StorageResult};
 
 /// Runs the R-tree join: build missing indices, BKS93 synchronized
 /// traversal, shared refinement.
@@ -95,30 +95,6 @@ pub fn rtree_join(db: &Db, spec: &JoinSpec, config: &JoinConfig) -> StorageResul
         stats,
         profile: Some(profile),
     })
-}
-
-/// [`rtree_join`] against a read snapshot — the serving-thread entry
-/// point. BKS93 joins two *pre-built* indices; building them here would
-/// write the catalog and race sibling threads, so both must exist before
-/// snapshots are handed out, and a missing one surfaces as the typed
-/// `UnknownRelation("<name> (index)")` error.
-pub fn rtree_join_at(
-    snap: Snapshot<'_>,
-    spec: &JoinSpec,
-    config: &JoinConfig,
-) -> StorageResult<JoinOutcome> {
-    {
-        let cat = snap.catalog();
-        for name in [&spec.left, &spec.right] {
-            cat.relation(name)?;
-            if cat.index(name).is_none() {
-                return Err(pbsm_storage::StorageError::UnknownRelation(format!(
-                    "{name} (index)"
-                )));
-            }
-        }
-    }
-    rtree_join(snap.db(), spec, config)
 }
 
 #[cfg(test)]

@@ -40,14 +40,15 @@
 //!   After the scatter barrier the coordinator recovers *only* that
 //!   shard: [`Db::recover`] over the surviving disk image, catalog
 //!   re-registration, index rebuild (index files are rebuildable intent
-//!   and are reclaimed), then [`pbsm_join_resume`] from the journal's
-//!   checkpoints (PBSM) or a from-scratch re-run (INL, R-tree). Sibling
-//!   shards are never touched and their finished results are kept. A
-//!   crash point that fires inside a swallowed-error cleanup path — the
-//!   join answers correctly from cached frames while its temp drops
-//!   silently leak on the poisoned device — is caught too: the gather
-//!   checks every engine's poison flag and routes such **zombie shards**
-//!   through the same recovery, discarding their results.
+//!   and are reclaimed), then [`execute_at`] with the journal's
+//!   checkpoints, which PBSM resumes from and INL and the R-tree join
+//!   ignore (they re-run from scratch). Sibling shards are never touched
+//!   and their finished results are kept. A crash point that fires
+//!   inside a swallowed-error cleanup path — the join answers correctly
+//!   from cached frames while its temp drops silently leak on the
+//!   poisoned device — is caught too: the gather checks every engine's
+//!   poison flag and routes such **zombie shards** through the same
+//!   recovery, discarding their results.
 //! * **ENOSPC** — the PBSM driver's degradation loop (halved work
 //!   memory, more partitions) runs per shard; each shard's
 //!   [`JoinStats::recovery_retries`] and `peak_work_mem_pages` report how
@@ -62,17 +63,16 @@
 //! [`Snapshot`]: pbsm_storage::Snapshot
 //! [`MetricsDelta`]: pbsm_obs::MetricsDelta
 
-use crate::inl::inl_join_at;
 use crate::loader::{build_index, extract_entries, load_relation};
 use crate::partition::{TileGrid, TileMapScheme};
-use crate::pbsm::{pbsm_join_at, pbsm_join_resume};
-use crate::rtree_join::rtree_join_at;
+use crate::query::{execute_at, Algorithm, Query};
 use crate::{JoinConfig, JoinOutcome, JoinSpec, JoinStats};
 use pbsm_geom::Rect;
 use pbsm_obs::names;
 use pbsm_storage::catalog::RelationMeta;
+use pbsm_storage::journal::JoinResume;
 use pbsm_storage::tuple::SpatialTuple;
-use pbsm_storage::{Db, DbConfig, Snapshot, StorageError, TelemetryBaseline};
+use pbsm_storage::{Db, DbConfig, StorageError, TelemetryBaseline};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -213,50 +213,6 @@ impl ShardedDbConfig {
     }
 }
 
-/// Which join driver the scatter runs on each shard (the snapshot entry
-/// points of the serving layer).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShardAlgorithm {
-    /// [`crate::pbsm::pbsm_join_at`].
-    Pbsm,
-    /// [`crate::rtree_join::rtree_join_at`] (needs both indexes).
-    RtreeJoin,
-    /// [`crate::inl::inl_join_at`] (needs the chosen side's index).
-    Inl,
-}
-
-impl ShardAlgorithm {
-    /// All three drivers, in the study's order.
-    pub const ALL: [ShardAlgorithm; 3] = [
-        ShardAlgorithm::Pbsm,
-        ShardAlgorithm::RtreeJoin,
-        ShardAlgorithm::Inl,
-    ];
-
-    /// Short stable identifier for metric/report keys.
-    pub fn key(self) -> &'static str {
-        match self {
-            ShardAlgorithm::Pbsm => "pbsm",
-            ShardAlgorithm::RtreeJoin => "rtree",
-            ShardAlgorithm::Inl => "inl",
-        }
-    }
-
-    /// Runs this driver against one shard's read snapshot.
-    pub fn run_at(
-        self,
-        snap: Snapshot<'_>,
-        spec: &JoinSpec,
-        config: &JoinConfig,
-    ) -> Result<JoinOutcome, StorageError> {
-        match self {
-            ShardAlgorithm::Pbsm => pbsm_join_at(snap, spec, config),
-            ShardAlgorithm::RtreeJoin => rtree_join_at(snap, spec, config),
-            ShardAlgorithm::Inl => inl_join_at(snap, spec, config),
-        }
-    }
-}
-
 /// What one shard contributed to a scatter-gather join.
 #[derive(Clone, Debug, Default)]
 pub struct ShardStats {
@@ -349,7 +305,8 @@ enum WorkerEnd {
     Skipped,
 }
 
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
+/// The text of a caught panic's payload.
+pub fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     match payload.downcast_ref::<&str>() {
         Some(s) => (*s).to_string(),
         None => match payload.downcast_ref::<String>() {
@@ -365,22 +322,39 @@ fn shard_retriable(e: &StorageError) -> bool {
     e.is_transient() || matches!(e, StorageError::RetriesExhausted(_))
 }
 
+/// One shard's join through the serving executor: the per-shard indexes
+/// are prebuilt at load and rebuilt by crash recovery, so the snapshot
+/// contract holds. `resume` reaches PBSM only.
+fn join_at(
+    db: &Db,
+    alg: Algorithm,
+    spec: &JoinSpec,
+    config: &JoinConfig,
+    resume: Option<&JoinResume>,
+) -> Result<JoinOutcome, StorageError> {
+    let query = Query::Join {
+        alg,
+        spec: spec.clone(),
+    };
+    execute_at(db.read_snapshot(), &query, config, resume)?
+        .into_join()
+        .ok_or(StorageError::Corrupt("a join query answered without pairs"))
+}
+
 /// The per-shard worker: run the driver against a fresh snapshot,
 /// re-running under the shard retry policy on transient failures.
 /// Panics are caught and reported as an end state, never unwound across
 /// the scatter.
 fn scatter_worker(
     db: &Db,
-    alg: ShardAlgorithm,
+    alg: Algorithm,
     spec: &JoinSpec,
     config: &JoinConfig,
     retry: ShardRetryPolicy,
 ) -> WorkerEnd {
     let mut retries = 0u32;
     loop {
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            alg.run_at(db.read_snapshot(), spec, config)
-        }));
+        let attempt = catch_unwind(AssertUnwindSafe(|| join_at(db, alg, spec, config, None)));
         match attempt {
             Err(payload) => return WorkerEnd::Panicked(panic_text(payload)),
             Ok(Ok(out)) => return WorkerEnd::Done(Box::new(out), retries),
@@ -564,7 +538,7 @@ impl ShardedDb {
     /// siblings or re-running their finished work.
     pub fn join(
         &mut self,
-        alg: ShardAlgorithm,
+        alg: Algorithm,
         spec: &JoinSpec,
         config: &JoinConfig,
     ) -> Result<ShardedJoinOutcome, ShardError> {
@@ -709,7 +683,7 @@ impl ShardedDb {
     fn contain_crash(
         &mut self,
         i: usize,
-        alg: ShardAlgorithm,
+        alg: Algorithm,
         spec: &JoinSpec,
         config: &JoinConfig,
         stats: &mut ShardStats,
@@ -756,15 +730,12 @@ impl ShardedDb {
             Some(db) => db,
             None => return Err(ShardError::ShardUnavailable { shard: i }),
         };
-        let resumed = match alg {
-            // PBSM trusts the journaled checkpoints: finished partition
-            // pairs and sort runs are not re-done.
-            ShardAlgorithm::Pbsm => pbsm_join_resume(db, spec, config, state.join.as_ref()),
-            // The index joins restart from scratch — their half-built
-            // temp state was reclaimed and their inputs are durable.
-            _ => alg.run_at(db.read_snapshot(), spec, config),
-        };
-        let out = resumed.map_err(|source| ShardError::Storage { shard: i, source })?;
+        // PBSM trusts the journaled checkpoints: finished partition pairs
+        // and sort runs are not re-done. The index joins restart from
+        // scratch — their half-built temp state was reclaimed and their
+        // inputs are durable.
+        let out = join_at(db, alg, spec, config, state.join.as_ref())
+            .map_err(|source| ShardError::Storage { shard: i, source })?;
         stats.join = out.stats;
         pbsm_obs::counter(names::SHARD_RESUMED_PAIRS).add(out.stats.resumed_pairs);
         pbsm_obs::counter(names::SHARD_RESUMED_RUNS).add(out.stats.resumed_runs);
@@ -808,53 +779,61 @@ impl ShardedDb {
     }
 }
 
+/// The bounding box of every tuple in `sets`: the joint universe
+/// [`ShardedDb::new`] decomposes.
+pub fn universe_of(sets: &[&[SpatialTuple]]) -> Rect {
+    sets.iter()
+        .flat_map(|s| s.iter())
+        .fold(Rect::empty(), |acc, t| acc.union(&t.geom.mbr()))
+}
+
+/// The unsharded answer: `spec` joined by PBSM on one engine holding all
+/// of `left` and `right`, as sorted global `(left key, right key)` pairs —
+/// the exact answer every sharded configuration must merge to.
+pub fn unsharded_join_keys(
+    left: &[SpatialTuple],
+    right: &[SpatialTuple],
+    spec: &JoinSpec,
+    config: &JoinConfig,
+) -> Result<Vec<(u64, u64)>, StorageError> {
+    let db = Db::new(DbConfig::with_pool_mb(2));
+    let lm = load_relation(&db, &spec.left, left, false)?;
+    let rm = load_relation(&db, &spec.right, right, false)?;
+    let out = crate::pbsm::pbsm_join(&db, spec, config)?;
+    // Heap scan order is insertion order: zip OIDs back to global keys.
+    let key_map = |meta, tuples: &[SpatialTuple]| -> Result<BTreeMap<u64, u64>, StorageError> {
+        Ok(extract_entries(&db, meta)?
+            .iter()
+            .zip(tuples)
+            .map(|((_, oid), t)| (oid.raw(), t.key))
+            .collect())
+    };
+    let (lmap, rmap) = (key_map(&lm, left)?, key_map(&rm, right)?);
+    let mut pairs: Vec<(u64, u64)> = out
+        .pairs
+        .iter()
+        .map(|(a, b)| (lmap[&a.raw()], rmap[&b.raw()]))
+        .collect();
+    pairs.sort_unstable();
+    Ok(pairs)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pbsm::pbsm_join;
     use pbsm_geom::predicates::SpatialPredicate;
 
     fn mk(n: usize, seed: u64) -> Vec<SpatialTuple> {
         crate::testgen::mk_tuples(n, seed, 60.0, 2, 2.0, 0.3, 8)
     }
 
-    fn universe_of(sets: &[&[SpatialTuple]]) -> Rect {
-        sets.iter()
-            .flat_map(|s| s.iter())
-            .fold(Rect::empty(), |acc, t| acc.union(&t.geom.mbr()))
-    }
-
-    /// Unsharded oracle: same tuples in one engine, results mapped to
-    /// global keys.
     fn oracle_pairs(
         left: &[SpatialTuple],
         right: &[SpatialTuple],
         predicate: SpatialPredicate,
     ) -> Vec<(u64, u64)> {
-        let db = Db::new(DbConfig::with_pool_mb(2));
-        let lm = load_relation(&db, "l", left, false).unwrap();
-        let rm = load_relation(&db, "r", right, false).unwrap();
         let spec = JoinSpec::new("l", "r", predicate);
-        let out = pbsm_join(&db, &spec, &JoinConfig::for_db(&db)).unwrap();
-        let lmap: BTreeMap<u64, u64> = extract_entries(&db, &lm)
-            .unwrap()
-            .iter()
-            .zip(left)
-            .map(|((_, oid), t)| (oid.raw(), t.key))
-            .collect();
-        let rmap: BTreeMap<u64, u64> = extract_entries(&db, &rm)
-            .unwrap()
-            .iter()
-            .zip(right)
-            .map(|((_, oid), t)| (oid.raw(), t.key))
-            .collect();
-        let mut pairs: Vec<(u64, u64)> = out
-            .pairs
-            .iter()
-            .map(|(a, b)| (lmap[&a.raw()], rmap[&b.raw()]))
-            .collect();
-        pairs.sort_unstable();
-        pairs
+        unsharded_join_keys(left, right, &spec, &JoinConfig::default()).unwrap()
     }
 
     fn sharded(k: usize, left: &[SpatialTuple], right: &[SpatialTuple]) -> ShardedDb {
@@ -902,7 +881,7 @@ mod tests {
                 work_mem_bytes: 256 * 1024,
                 ..JoinConfig::default()
             };
-            for alg in ShardAlgorithm::ALL {
+            for alg in Algorithm::ALL {
                 let out = sdb.join(alg, &spec, &config).unwrap();
                 assert_eq!(out.pairs, oracle, "k={k} alg={}", alg.key());
                 // Disjoint union: per-shard emissions re-merge to the
@@ -960,7 +939,7 @@ mod tests {
         // Probe the victim's disk-operation window with a fault-free run
         // (chaos.rs idiom), then aim the crash at the middle of it.
         let ops_before = sdb.shard_db(victim).unwrap().pool().disk().total_ops();
-        let probe = sdb.join(ShardAlgorithm::Pbsm, &spec, &config).unwrap();
+        let probe = sdb.join(Algorithm::Pbsm, &spec, &config).unwrap();
         assert_eq!(probe.pairs, oracle);
         let window = sdb.shard_db(victim).unwrap().pool().disk().total_ops() - ops_before;
         assert!(window > 1, "victim shard did no I/O during the probe");
@@ -971,7 +950,7 @@ mod tests {
             .set_faults(Some(FaultConfig::crash_at(5, (window / 2).max(1))));
         let prev_hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let out = sdb.join(ShardAlgorithm::Pbsm, &spec, &config);
+        let out = sdb.join(Algorithm::Pbsm, &spec, &config);
         std::panic::set_hook(prev_hook);
         let out = out.unwrap();
         assert_eq!(
@@ -987,7 +966,7 @@ mod tests {
         }
         // The recovered engine is live again: the same query re-runs
         // cleanly on all shards.
-        let again = sdb.join(ShardAlgorithm::Pbsm, &spec, &config).unwrap();
+        let again = sdb.join(Algorithm::Pbsm, &spec, &config).unwrap();
         assert_eq!(again.pairs, oracle);
         assert_eq!(again.crashes_contained(), 0);
     }
@@ -1008,11 +987,11 @@ mod tests {
         };
         // Warm every shard's cache so the INL join needs no disk I/O and
         // the poison below stays invisible to the worker.
-        let warm = sdb.join(ShardAlgorithm::Inl, &spec, &config).unwrap();
+        let warm = sdb.join(Algorithm::Inl, &spec, &config).unwrap();
         assert_eq!(warm.pairs, oracle);
         let victim = 2;
         sdb.shard_db(victim).unwrap().pool().disk_mut().crash_now();
-        let out = sdb.join(ShardAlgorithm::Inl, &spec, &config).unwrap();
+        let out = sdb.join(Algorithm::Inl, &spec, &config).unwrap();
         assert_eq!(out.pairs, oracle);
         assert!(
             out.shards[victim].crash_contained,

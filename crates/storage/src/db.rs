@@ -339,8 +339,8 @@ impl Db {
     /// A read-only handle for a serving thread.
     ///
     /// `Snapshot` is `Copy + Send`: hand one to each worker in a
-    /// `thread::scope` and run the `*_at` query drivers
-    /// (`select_scan_at`, `pbsm_join_at`, …) against it concurrently.
+    /// `thread::scope` and run queries against it concurrently through
+    /// `pbsm_join::execute_at`.
     /// The name states the contract, not an MVCC implementation: the
     /// serving layer is read-only over loaded-then-immutable relations
     /// (the paper's workload), so every read observes the same data and
@@ -433,8 +433,9 @@ impl<'a> Snapshot<'a> {
         self.db.disk_stats()
     }
 
-    /// The underlying handle, for the `*_at` query drivers that
-    /// delegate to the existing `&Db` entry points. Deliberately not
+    /// The underlying handle, for `pbsm_join::execute_at`, which checks
+    /// the serving contract (snapshots never build an index) and then
+    /// runs the query through the `&Db` drivers. Deliberately not
     /// `DerefMut`-style sugar: going through `db()` keeps mutation
     /// visibly impossible at the type level in snapshot code.
     pub fn db(&self) -> &'a Db {

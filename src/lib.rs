@@ -46,8 +46,9 @@ pub mod prelude {
     pub use pbsm_join::pbsm::pbsm_join;
     pub use pbsm_join::rtree_join::rtree_join;
     pub use pbsm_join::{
-        JoinConfig, JoinOutcome, JoinSpec, JoinStats, ShardAlgorithm, ShardError, ShardRetryPolicy,
-        ShardedDb, ShardedDbConfig, ShardedJoinOutcome, TileMapScheme,
+        execute, execute_at, Algorithm, JoinConfig, JoinOutcome, JoinSpec, JoinStats, Outcome,
+        Query, ShardError, ShardRetryPolicy, ShardedDb, ShardedDbConfig, ShardedJoinOutcome,
+        TileMapScheme,
     };
     pub use pbsm_storage::tuple::SpatialTuple;
     pub use pbsm_storage::{Db, DbConfig, Oid};

@@ -187,7 +187,7 @@ proptest! {
         let mut sdb = ShardedDb::new(ShardedDbConfig::with_shards(k), universe);
         sdb.load_relation("l", &ls, false).unwrap();
         sdb.load_relation("r", &rs, false).unwrap();
-        for alg in ShardAlgorithm::ALL {
+        for alg in Algorithm::ALL {
             let out = sdb.join(alg, &spec, &config).unwrap();
             prop_assert_eq!(&out.pairs, &truth);
             let mut merged: Vec<(u64, u64)> =

@@ -7,51 +7,12 @@
 //! siblings or changing the answer.
 
 use pbsm::geom::predicates::SpatialPredicate;
-use pbsm::geom::Rect;
-use pbsm::join::loader::{extract_entries, load_relation};
-use pbsm::join::pbsm::pbsm_join;
-use pbsm::join::shard::{ShardAlgorithm, ShardedDb, ShardedDbConfig};
-use pbsm::join::{inl::inl_join_at, rtree_join::rtree_join_at};
-use pbsm::join::{JoinConfig, JoinSpec};
+use pbsm::join::loader::load_relation;
+use pbsm::join::shard::{universe_of, unsharded_join_keys, ShardedDb, ShardedDbConfig};
+use pbsm::join::{execute_at, Algorithm, JoinConfig, JoinSpec, Query};
 use pbsm::prelude::{sequoia, tiger, SequoiaConfig, TigerConfig};
 use pbsm::storage::tuple::SpatialTuple;
 use pbsm::storage::{Db, DbConfig, FaultConfig, StorageError};
-use std::collections::BTreeMap;
-
-fn universe_of(sets: &[&[SpatialTuple]]) -> Rect {
-    sets.iter()
-        .flat_map(|s| s.iter())
-        .fold(Rect::empty(), |acc, t| acc.union(&t.geom.mbr()))
-}
-
-/// The unsharded oracle: one engine, PBSM, results as global key pairs.
-fn oracle_keys(
-    left: &[SpatialTuple],
-    right: &[SpatialTuple],
-    spec: &JoinSpec,
-    config: &JoinConfig,
-) -> Vec<(u64, u64)> {
-    let db = Db::new(DbConfig::with_pool_mb(2));
-    let lm = load_relation(&db, &spec.left, left, false).unwrap();
-    let rm = load_relation(&db, &spec.right, right, false).unwrap();
-    let out = pbsm_join(&db, spec, config).unwrap();
-    let map = |meta, tuples: &[SpatialTuple]| -> BTreeMap<u64, u64> {
-        extract_entries(&db, meta)
-            .unwrap()
-            .iter()
-            .zip(tuples)
-            .map(|((_, oid), t)| (oid.raw(), t.key))
-            .collect()
-    };
-    let (lmap, rmap) = (map(&lm, left), map(&rm, right));
-    let mut pairs: Vec<(u64, u64)> = out
-        .pairs
-        .iter()
-        .map(|(a, b)| (lmap[&a.raw()], rmap[&b.raw()]))
-        .collect();
-    pairs.sort_unstable();
-    pairs
-}
 
 fn sharded(k: usize, spec: &JoinSpec, left: &[SpatialTuple], right: &[SpatialTuple]) -> ShardedDb {
     let mut sdb = ShardedDb::new(ShardedDbConfig::with_shards(k), universe_of(&[left, right]));
@@ -69,7 +30,7 @@ fn assert_partition_exact(
     oracle: &[(u64, u64)],
     context: &str,
 ) {
-    for alg in ShardAlgorithm::ALL {
+    for alg in Algorithm::ALL {
         let out = sdb.join(alg, spec, config).unwrap();
         assert_eq!(out.pairs, oracle, "{context}: {} merged result", alg.key());
         // Totality + duplicate-freeness: every oracle pair is emitted by
@@ -93,7 +54,7 @@ fn tiger_slice_partition_is_duplicate_free_and_total() {
         work_mem_bytes: 256 * 1024,
         ..JoinConfig::default()
     };
-    let oracle = oracle_keys(&road, &hydro, &spec, &config);
+    let oracle = unsharded_join_keys(&road, &hydro, &spec, &config).unwrap();
     assert!(!oracle.is_empty(), "degenerate tiger slice");
     for k in [2, 3, 4] {
         let mut sdb = sharded(k, &spec, &road, &hydro);
@@ -113,7 +74,7 @@ fn sequoia_slice_partition_is_duplicate_free_and_total() {
         work_mem_bytes: 256 * 1024,
         ..JoinConfig::default()
     };
-    let oracle = oracle_keys(&polys, &islands, &spec, &config);
+    let oracle = unsharded_join_keys(&polys, &islands, &spec, &config).unwrap();
     assert!(!oracle.is_empty(), "degenerate sequoia slice");
     for k in [2, 3] {
         let mut sdb = sharded(k, &spec, &polys, &islands);
@@ -121,8 +82,8 @@ fn sequoia_slice_partition_is_duplicate_free_and_total() {
     }
 }
 
-/// The snapshot-path index drivers never auto-build; a genuinely missing
-/// index surfaces the typed `UnknownRelation("<name> (index)")` error.
+/// Snapshot queries never auto-build an index; a genuinely missing one
+/// surfaces the typed `UnknownRelation("<name> (index)")` error.
 /// (The sharded load path prebuilds per-shard indexes at load time
 /// precisely so a scatter never hits this.)
 #[test]
@@ -136,22 +97,22 @@ fn missing_index_error_is_typed_and_named() {
     let spec = JoinSpec::new("road", "hydro", SpatialPredicate::Intersects);
     let config = JoinConfig::for_db(&db);
 
-    match inl_join_at(db.read_snapshot(), &spec, &config).map(|_| ()) {
-        Err(StorageError::UnknownRelation(name)) => {
-            assert!(name.ends_with("(index)"), "got {name:?}")
+    for alg in [Algorithm::Inl, Algorithm::RtreeJoin] {
+        let query = Query::Join {
+            alg,
+            spec: spec.clone(),
+        };
+        match execute_at(db.read_snapshot(), &query, &config, None).map(|_| ()) {
+            Err(StorageError::UnknownRelation(name)) => {
+                assert!(name.ends_with("(index)"), "{}: got {name:?}", alg.key())
+            }
+            other => panic!("expected UnknownRelation(.. (index)), got {other:?}"),
         }
-        other => panic!("expected UnknownRelation(.. (index)), got {other:?}"),
-    }
-    match rtree_join_at(db.read_snapshot(), &spec, &config).map(|_| ()) {
-        Err(StorageError::UnknownRelation(name)) => {
-            assert!(name.ends_with("(index)"), "got {name:?}")
-        }
-        other => panic!("expected UnknownRelation(.. (index)), got {other:?}"),
     }
 }
 
 /// The sharded load path prebuilds every shard's indexes, so the index
-/// drivers work through snapshots immediately — no scatter-time builds.
+/// joins run through snapshots immediately — no scatter-time builds.
 #[test]
 fn sharded_load_prebuilds_indexes_for_snapshot_drivers() {
     let cfg = TigerConfig::scaled(0.005);
@@ -170,8 +131,13 @@ fn sharded_load_prebuilds_indexes_for_snapshot_drivers() {
         let loaded = db.catalog().relation("road").unwrap().cardinality > 0
             && db.catalog().relation("hydro").unwrap().cardinality > 0;
         if loaded {
-            inl_join_at(db.read_snapshot(), &spec, &config).unwrap();
-            rtree_join_at(db.read_snapshot(), &spec, &config).unwrap();
+            for alg in [Algorithm::Inl, Algorithm::RtreeJoin] {
+                let query = Query::Join {
+                    alg,
+                    spec: spec.clone(),
+                };
+                execute_at(db.read_snapshot(), &query, &config, None).unwrap();
+            }
         }
     }
 }
@@ -192,13 +158,13 @@ fn single_shard_crash_is_contained_with_checkpoint_reuse() {
         num_tiles: 256,
         ..JoinConfig::default()
     };
-    let oracle = oracle_keys(&road, &hydro, &spec, &config);
+    let oracle = unsharded_join_keys(&road, &hydro, &spec, &config).unwrap();
     let victim = 0;
 
     // Probe the victim's op window on an identical build.
     let mut probe = sharded(3, &spec, &road, &hydro);
     let ops0 = probe.shard_db(victim).unwrap().pool().disk().total_ops();
-    probe.join(ShardAlgorithm::Pbsm, &spec, &config).unwrap();
+    probe.join(Algorithm::Pbsm, &spec, &config).unwrap();
     let window = probe.shard_db(victim).unwrap().pool().disk().total_ops() - ops0;
     assert!(window > 10, "victim did almost no I/O");
 
@@ -214,7 +180,7 @@ fn single_shard_crash_is_contained_with_checkpoint_reuse() {
         .set_faults(Some(FaultConfig::crash_at(13, 1 + (window - 1) * 9 / 10)));
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let out = sdb.join(ShardAlgorithm::Pbsm, &spec, &config);
+    let out = sdb.join(Algorithm::Pbsm, &spec, &config);
     std::panic::set_hook(prev_hook);
     let out = out.unwrap();
 
@@ -265,14 +231,14 @@ fn transient_faults_on_one_shard_are_absorbed() {
         work_mem_bytes: 128 * 1024,
         ..JoinConfig::default()
     };
-    let oracle = oracle_keys(&road, &hydro, &spec, &config);
+    let oracle = unsharded_join_keys(&road, &hydro, &spec, &config).unwrap();
     let mut sdb = sharded(3, &spec, &road, &hydro);
     sdb.shard_db(1)
         .unwrap()
         .pool()
         .disk_mut()
         .set_faults(Some(FaultConfig::transient_only(42, 20_000)));
-    for alg in ShardAlgorithm::ALL {
+    for alg in Algorithm::ALL {
         let out = sdb.join(alg, &spec, &config).unwrap();
         assert_eq!(out.pairs, oracle, "{} under transient faults", alg.key());
         assert_eq!(out.crashes_contained(), 0);
