@@ -7,7 +7,62 @@
 
 use pbsm_bench::{secs, tiger_db, tiger_spec, Report, TigerSet};
 use pbsm_geom::predicates::RefineOptions;
+use pbsm_geom::seg_sweep::polylines_intersect_sweep;
+use pbsm_geom::Geometry;
+use pbsm_join::filter::{merge_partitions, partition_input};
+use pbsm_join::keyptr::{cmp_pair_bytes, decode_pair, KEY_PTR_SIZE, OID_PAIR_SIZE};
+use pbsm_join::partition::{partition_count, TileGrid};
 use pbsm_join::JoinConfig;
+use pbsm_storage::extsort::external_sort;
+use pbsm_storage::heap::HeapFile;
+use pbsm_storage::tuple::SpatialTuple;
+use pbsm_storage::Db;
+
+/// The refinement step's input for road ⋈ hydrography: PBSM's
+/// partitioning and merge, then the duplicate-eliminating sort, with each
+/// unique OID pair fetched as its two geometries.
+fn unique_candidates(db: &Db, config: &JoinConfig) -> Vec<(Geometry, Geometry)> {
+    let cat = db.catalog();
+    let road = cat.relation("road").unwrap().clone();
+    let hyd = cat.relation("hydrography").unwrap().clone();
+    let p = partition_count(
+        road.cardinality,
+        hyd.cardinality,
+        KEY_PTR_SIZE,
+        config.work_mem_bytes,
+    );
+    let grid = TileGrid::new(road.universe.union(&hyd.universe), config.num_tiles.max(p));
+    let rp = partition_input(db, &road, &grid, config.tile_map, p).unwrap();
+    let sp = partition_input(db, &hyd, &grid, config.tile_map, p).unwrap();
+    let (cands, _) = merge_partitions(db, &rp, &sp, config).unwrap();
+    rp.destroy(db);
+    sp.destroy(db);
+    let sorted = external_sort(
+        db.pool(),
+        &cands,
+        config.work_mem_bytes,
+        cmp_pair_bytes,
+        true,
+    )
+    .unwrap();
+    cands.destroy(db.pool());
+    let unique = sorted.read_all(db.pool()).unwrap();
+    sorted.destroy(db.pool());
+
+    let (road, hyd) = (HeapFile::open(road.file), HeapFile::open(hyd.file));
+    let mut buf = Vec::new();
+    let mut fetch = |heap: &HeapFile, oid| {
+        heap.fetch(db.pool(), oid, &mut buf).unwrap();
+        SpatialTuple::decode(&buf).unwrap().geom
+    };
+    unique
+        .chunks_exact(OID_PAIR_SIZE)
+        .map(|c| {
+            let (a, b) = decode_pair(c);
+            (fetch(&road, a), fetch(&hyd, b))
+        })
+        .collect()
+}
 
 fn main() {
     Report::run(
@@ -62,54 +117,35 @@ fn main() {
 
             // The 1996-faithful baseline: the exact intersection predicate
             // on every segment pair, with no per-pair MBR reject. Measured
-            // directly over the unique candidate geometry pairs.
+            // directly over the unique candidate pairs the filter step
+            // hands to refinement (true and false hits alike), built from
+            // the join's own partitioning and merge.
             report.blank();
-            report.line("predicate-only timing over the candidate pairs:");
+            report.line("predicate-only timing over the unique candidate pairs:");
             let db = tiger_db(8, TigerSet::RoadHydro, false);
             let config = JoinConfig::for_db(&db);
-            let out = pbsm_join::pbsm::pbsm_join(&db, &spec, &config).unwrap();
-            let road =
-                pbsm_storage::heap::HeapFile::open(db.catalog().relation("road").unwrap().file);
-            let hyd = pbsm_storage::heap::HeapFile::open(
-                db.catalog().relation("hydrography").unwrap().file,
-            );
-            // Candidate pairs = MBR-overlapping pairs; rebuild geometry
-            // pairs from the result's parents by re-running the filter is
-            // costly, so sample the refinement inputs via the join result
-            // plus near-miss pairs from a fresh filter pass at partition
-            // level. Simpler: fetch the joined pairs (true positives) and
-            // synthesize the same count of MBR-only pairs by shifting.
-            // Good enough for a CPU-ratio measurement on real feature
-            // shapes.
-            let mut pairs_geom = Vec::new();
-            let mut buf = Vec::new();
-            for (a, b) in out.pairs.iter().take(20_000) {
-                road.fetch(db.pool(), *a, &mut buf).unwrap();
-                let ta = pbsm_storage::tuple::SpatialTuple::decode(&buf).unwrap();
-                hyd.fetch(db.pool(), *b, &mut buf).unwrap();
-                let tb = pbsm_storage::tuple::SpatialTuple::decode(&buf).unwrap();
-                pairs_geom.push((ta.geom, tb.geom));
-            }
-            let time_it = |f: &dyn Fn(&pbsm_geom::Polyline, &pbsm_geom::Polyline) -> bool| -> f64 {
+            let pairs_geom = unique_candidates(&db, &config);
+            let time_it = |f: &dyn Fn(&pbsm_geom::Polyline, &pbsm_geom::Polyline) -> bool| {
                 let t = std::time::Instant::now();
-                let mut acc = 0u64;
+                let mut hits = 0u64;
                 for (a, b) in &pairs_geom {
                     if f(a.as_polyline(), b.as_polyline()) {
-                        acc += 1;
+                        hits += 1;
                     }
                 }
-                std::hint::black_box(acc);
-                t.elapsed().as_secs_f64()
+                (t.elapsed().as_secs_f64(), std::hint::black_box(hits))
             };
-            let sweep_t = time_it(&pbsm_geom::seg_sweep::polylines_intersect_sweep);
-            let naive_t = time_it(&|a, b| a.intersects_naive(b));
-            let raw_t = time_it(&|a, b| a.intersects_naive_raw(b));
+            let (sweep_t, hits) = time_it(&polylines_intersect_sweep);
+            let (naive_t, _) = time_it(&|a, b| a.intersects_naive(b));
+            let (raw_t, _) = time_it(&|a, b| a.intersects_naive_raw(b));
             report.line(&format!(
-                "  plane sweep {:.4}s | naive+MBR-reject {:.4}s | raw all-pairs {:.4}s  ({} pairs)",
+                "  plane sweep {:.4}s | naive+MBR-reject {:.4}s | raw all-pairs {:.4}s  \
+                 ({} pairs, hit ratio {:.3})",
                 sweep_t,
                 naive_t,
                 raw_t,
-                pairs_geom.len()
+                pairs_geom.len(),
+                hits as f64 / pairs_geom.len().max(1) as f64
             ));
             let raw_increase = 100.0 * (raw_t - sweep_t) / sweep_t.max(1e-12);
             report.timing("raw_cpu_increase_pct", raw_increase);

@@ -12,7 +12,6 @@
 
 use crate::keyptr::{cmp_pair_bytes, decode_pair};
 use pbsm_geom::predicates::{evaluate, RefineOptions, SpatialPredicate};
-use pbsm_geom::Geometry;
 use pbsm_storage::catalog::RelationMeta;
 use pbsm_storage::extsort::{external_sort_files, SortCheckpoint};
 use pbsm_storage::heap::HeapFile;
@@ -223,14 +222,9 @@ pub fn matches(
             mer_filter: false,
             ..*opts
         };
-        return eval(predicate, &left.geom, &right.geom, &exact);
+        return evaluate(predicate, &left.geom, &right.geom, &exact);
     }
-    eval(predicate, &left.geom, &right.geom, opts)
-}
-
-#[inline]
-fn eval(predicate: SpatialPredicate, l: &Geometry, r: &Geometry, opts: &RefineOptions) -> bool {
-    evaluate(predicate, l, r, opts)
+    evaluate(predicate, &left.geom, &right.geom, opts)
 }
 
 #[cfg(test)]
@@ -331,6 +325,59 @@ mod tests {
             outcome.pairs,
             brute_exact(&db, &r, &s, SpatialPredicate::Intersects)
         );
+    }
+
+    #[test]
+    fn stored_mer_fast_accepts() {
+        use pbsm_geom::mer::maximal_enclosed_rect;
+        use pbsm_geom::polygon::Ring;
+        use pbsm_geom::{Point, Polygon};
+        fn square(x0: f64, s: f64) -> Polygon {
+            let c = [(x0, x0), (x0 + s, x0), (x0 + s, x0 + s), (x0, x0 + s)];
+            Polygon::simple(Ring::new(
+                c.iter().map(|&(x, y)| Point::new(x, y)).collect(),
+            ))
+        }
+        let outer = square(0.0, 10.0);
+        let mer = maximal_enclosed_rect(&outer, 12).unwrap();
+        let stored = SpatialTuple {
+            mer: Some(mer),
+            ..SpatialTuple::new(1, outer.clone().into(), 0)
+        };
+        let bare = SpatialTuple::new(1, outer.into(), 0);
+        let inside = SpatialTuple::new(2, square(3.0, 2.0).into(), 0);
+        let straddling = SpatialTuple::new(3, square(8.0, 4.0).into(), 0);
+        let contains = SpatialPredicate::Contains;
+        let with_mer = RefineOptions {
+            plane_sweep: true,
+            mer_filter: true,
+        };
+        // Inner well inside the MER: the fast accept agrees with exact.
+        assert!(mer.contains(&inside.geom.mbr()));
+        assert!(matches(&stored, &inside, contains, &with_mer));
+        // Inner partly outside: falls through to the exact test.
+        assert!(!matches(&stored, &straddling, contains, &with_mer));
+        // No stored MER, or the filter off: the exact test alone decides.
+        assert!(matches(&bare, &inside, contains, &with_mer));
+        assert!(matches(
+            &stored,
+            &inside,
+            contains,
+            &RefineOptions::default()
+        ));
+        // The stored MER is trusted as is: a MER the polygon does not
+        // really enclose shows the exact test was skipped.
+        let unsound = SpatialTuple {
+            mer: Some(pbsm_geom::Rect::new(0.0, 0.0, 20.0, 20.0)),
+            ..bare.clone()
+        };
+        assert!(matches(&unsound, &straddling, contains, &with_mer));
+        assert!(!matches(
+            &unsound,
+            &straddling,
+            contains,
+            &RefineOptions::default()
+        ));
     }
 
     #[test]

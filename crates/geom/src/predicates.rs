@@ -14,9 +14,9 @@
 //! discusses: plane-sweep vs naive polyline intersection (the 62 % claim),
 //! and the \[BKSS94\] MBR/MER pre-filter for containment.
 
-use crate::mer::{maximal_enclosed_rect, rect_inside_polygon};
-use crate::seg_sweep::polylines_intersect_sweep;
-use crate::{Geometry, Point, Polygon, Polyline, Rect, Segment};
+use crate::mer::maximal_enclosed_rect;
+use crate::seg_sweep::{polylines_intersect_sweep, segments_cross};
+use crate::{Geometry, Point, Polygon, Polyline, Segment};
 
 /// The spatial join predicate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -52,27 +52,21 @@ impl Default for RefineOptions {
 /// Whether a polyline and polygon share a point: either a chain vertex is
 /// inside the polygon or a chain segment crosses the boundary.
 fn polyline_intersects_polygon(l: &Polyline, g: &Polygon) -> bool {
-    if !l.mbr().intersects(&g.mbr()) {
+    let (lm, gm) = (l.mbr(), g.mbr());
+    if !lm.intersects(&gm) {
         return false;
     }
     if l.points().iter().any(|&p| g.contains_point(p)) {
         return true;
     }
-    for s in l.segments() {
-        let sm = s.mbr();
-        for e in g.segments() {
-            if sm.intersects(&e.mbr()) && s.intersects(&e) {
-                return true;
-            }
-        }
-    }
-    false
+    segments_cross(&lm.intersection(&gm), l.segments(), g.segments())
 }
 
 /// Whether two polygons share a point: boundary intersection or one
 /// containing a vertex of the other.
 fn polygons_intersect(a: &Polygon, b: &Polygon) -> bool {
-    if !a.mbr().intersects(&b.mbr()) {
+    let (am, bm) = (a.mbr(), b.mbr());
+    if !am.intersects(&bm) {
         return false;
     }
     if b.outer().points().iter().any(|&p| a.contains_point(p)) {
@@ -81,15 +75,7 @@ fn polygons_intersect(a: &Polygon, b: &Polygon) -> bool {
     if a.outer().points().iter().any(|&p| b.contains_point(p)) {
         return true;
     }
-    for s in a.segments() {
-        let sm = s.mbr();
-        for e in b.segments() {
-            if sm.intersects(&e.mbr()) && s.intersects(&e) {
-                return true;
-            }
-        }
-    }
-    false
+    segments_cross(&am.intersection(&bm), a.segments(), b.segments())
 }
 
 /// Whether polygon `outer` fully contains polygon `inner` (hole-aware).
@@ -99,25 +85,21 @@ fn polygons_intersect(a: &Polygon, b: &Polygon) -> bool {
 /// boundaries never cross, either all of `inner` is inside `outer` or none
 /// of it is, so one vertex decides.)
 pub fn polygon_contains_polygon(outer: &Polygon, inner: &Polygon) -> bool {
-    if !outer.mbr().contains(&inner.mbr()) {
+    let im = inner.mbr();
+    if !outer.mbr().contains(&im) {
         return false;
     }
     if !outer.contains_point(inner.outer().points()[0]) {
         return false;
     }
-    for s in inner.segments() {
-        let sm = s.mbr();
-        for e in outer.segments() {
-            if sm.intersects(&e.mbr()) && s.intersects(&e) {
-                return false;
-            }
-        }
+    if segments_cross(&im, inner.segments(), outer.segments()) {
+        return false;
     }
     // Boundaries don't cross and a vertex is inside; guard against a hole
     // of `outer` swallowing part of `inner`: a hole fully inside `inner`
     // would mean `inner` is not contained in the polygon's point set.
     for hole in outer.holes() {
-        if inner.mbr().contains(&hole.mbr()) && inner.contains_point(hole.points()[0]) {
+        if im.contains(&hole.mbr()) && inner.contains_point(hole.points()[0]) {
             return false;
         }
     }
@@ -126,21 +108,14 @@ pub fn polygon_contains_polygon(outer: &Polygon, inner: &Polygon) -> bool {
 
 /// Whether polygon `outer` fully contains the polyline `l`.
 pub fn polygon_contains_polyline(outer: &Polygon, l: &Polyline) -> bool {
-    if !outer.mbr().contains(&l.mbr()) {
+    let lm = l.mbr();
+    if !outer.mbr().contains(&lm) {
         return false;
     }
     if !outer.contains_point(l.points()[0]) {
         return false;
     }
-    for s in l.segments() {
-        let sm = s.mbr();
-        for e in outer.segments() {
-            if sm.intersects(&e.mbr()) && s.intersects(&e) {
-                return false;
-            }
-        }
-    }
-    true
+    !segments_cross(&lm, l.segments(), outer.segments())
 }
 
 fn point_on_polyline(p: Point, l: &Polyline) -> bool {
@@ -204,24 +179,6 @@ fn contains(left: &Geometry, right: &Geometry, opts: &RefineOptions) -> bool {
         // Lower-dimensional geometry cannot contain higher-dimensional one.
         _ => false,
     }
-}
-
-/// MER-accelerated containment with a precomputed MER, used when the MER is
-/// stored with the tuple as \[BKSS94\] proposes ("extra information that is
-/// precomputed and stored along with each spatial feature").
-pub fn contains_with_mer(
-    outer: &Polygon,
-    outer_mer: Option<&Rect>,
-    inner: &Geometry,
-    opts: &RefineOptions,
-) -> bool {
-    if let Some(mer) = outer_mer {
-        if mer.contains(&inner.mbr()) {
-            debug_assert!(rect_inside_polygon(mer, outer));
-            return true;
-        }
-    }
-    contains(&Geometry::Polygon(outer.clone()), inner, opts)
 }
 
 #[cfg(test)]
@@ -337,21 +294,6 @@ mod tests {
                 "x0={x0} s={s}"
             );
         }
-    }
-
-    #[test]
-    fn contains_with_mer_fast_accepts() {
-        let outer = square(0.0, 0.0, 10.0);
-        let mer = crate::mer::maximal_enclosed_rect(&outer, 12).unwrap();
-        let opts = RefineOptions::default();
-        // Inner well inside the MER: fast accept must agree with exact.
-        let inner: Geometry = square(3.0, 3.0, 2.0).into();
-        assert!(contains_with_mer(&outer, Some(&mer), &inner, &opts));
-        // Inner partially outside: falls through to the exact test.
-        let outside: Geometry = square(8.0, 8.0, 4.0).into();
-        assert!(!contains_with_mer(&outer, Some(&mer), &outside, &opts));
-        // No MER available: pure exact path.
-        assert!(contains_with_mer(&outer, None, &inner, &opts));
     }
 
     #[test]

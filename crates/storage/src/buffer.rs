@@ -830,9 +830,11 @@ impl BufferPool {
             st.free.push(idx);
         }
         // Restore the canonical cold-pool free order (descending index)
-        // so frame allocation — and hence the I/O pattern — is identical
-        // run to run regardless of which pages happened to be cached.
+        // and the clock hand's start so frame allocation and eviction —
+        // and hence the I/O pattern — are identical run to run regardless
+        // of which pages happened to be cached.
         st.free.sort_unstable_by(|a, b| b.cmp(a));
+        st.hand = 0;
         Ok(())
     }
 

@@ -444,3 +444,37 @@ fn transient_faults_are_absorbed_under_concurrent_readers() {
     assert_eq!(pinned, 0);
     assert_eq!(free + mapped, db.pool().num_frames());
 }
+
+#[test]
+fn cleared_pool_repeats_its_io() {
+    // Cold rounds on one database must model the same I/O: clearing the
+    // pool restores the free-frame order and the clock hand, so the second
+    // cold join allocates and evicts exactly as the first did.
+    use pbsm::prelude::*;
+    let db = Db::new(DbConfig::with_pool_mb(2));
+    assert_eq!(
+        db.pool().replacement_policy(),
+        pbsm::storage::buffer::ReplacementPolicy::Clock
+    );
+    let cfg = TigerConfig::scaled(0.02);
+    load_relation(&db, "road", &tiger::road(&cfg), false).unwrap();
+    load_relation(&db, "hydro", &tiger::hydrography(&cfg), false).unwrap();
+    let spec = JoinSpec::new("road", "hydro", SpatialPredicate::Intersects);
+    let config = JoinConfig::for_db(&db);
+    let cold_join = || {
+        db.pool().clear_cache().unwrap();
+        let before = db.disk_stats();
+        pbsm_join(&db, &spec, &config).unwrap();
+        db.disk_stats().delta_since(&before)
+    };
+    let (first, second) = (cold_join(), cold_join());
+    assert!(first.reads > 0 && first.writes > 0, "{first:?}");
+    assert_eq!(
+        (first.reads, first.writes, first.seeks),
+        (second.reads, second.writes, second.seeks)
+    );
+    assert!(
+        (first.io_ms - second.io_ms).abs() <= 1e-9 * first.io_ms,
+        "{first:?} vs {second:?}"
+    );
+}
